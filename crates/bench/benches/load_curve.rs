@@ -5,10 +5,9 @@
 //! delay past the capacity knee is charged to the curve instead of
 //! silently throttling the generator (no coordinated omission). A
 //! mid-run scrape of the admission-exempt ops plane proves the live
-//! metrics path works while the door is under load. Per-rate shard
-//! batching stats (mean cross-client batch size, flush reasons) come
-//! from the service registry's `batch.*` counters, deltaed around each
-//! run. Emits `BENCH_load.json` at the repo root (EXPERIMENTS.md A15,
+//! metrics path works while the door is under load. The per-rate mean
+//! shard drain size comes from the service registry's `batch.items` and
+//! `batch.drains` counters, deltaed around each run. Emits `BENCH_load.json` at the repo root (EXPERIMENTS.md A15,
 //! A16).
 //!
 //! ```text

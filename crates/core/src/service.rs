@@ -47,19 +47,19 @@ use crate::gate::GateCheckpoint;
 use crate::metrics::{FaultMetrics, Party};
 use crate::retry::{RetryPolicy, RetryingTransport};
 use crate::storage::{
-    load_latest, save_snapshot, DurabilityConfig, DurableLog, ShardSection, SnapshotState,
-    StorageError,
+    load_latest, save_snapshot, DurabilityConfig, DurableLog, ShardSection, SimStorage,
+    SnapshotState, StorageError,
 };
 use crate::transport::{
     request_label, FaultPlan, InProcTransport, SimNetConfig, SimNetTransport, TrafficLog, Transport,
 };
-use crate::wal::{CommittedEntry, ShardWal, WalRecord, WalReplay};
+use crate::wal::{CommittedEntry, WalRecord};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use ppms_bigint::BigUint;
 use ppms_crypto::cl::{ClPublicKey, ClSignature};
 use ppms_crypto::pairing::TypeAPairing;
-use ppms_ecash::{DecBank, DecError, DecParams, Spend};
+use ppms_ecash::{DecBank, DecParams, Spend};
 use ppms_obs::{FlightRecorder, Registry, Snapshot, Span, SpanContext, Timed, TimedOwned};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -245,12 +245,12 @@ pub struct CrashPoint {
 
 /// Crash-injection point for the batching pipeline: the chosen shard
 /// worker exits after journaling the Commit for its `at_begin`-th
-/// `Begin` — *between* the batch's verification/execution and its
+/// `Begin` — *between* that item's execution and the drain's
 /// group-commit flush, before any held reply is released. Items
-/// committed earlier in the same cross-client batch have journal
-/// records but unanswered clients; the retries must replay, not
-/// re-execute (pinned by `tests/chaos.rs` / `tests/recovery.rs`).
-/// Fires at most once per service.
+/// committed earlier in the same drain have journal records but
+/// unanswered clients; the retries must replay, not re-execute
+/// (pinned by `tests/chaos.rs` / `tests/recovery.rs`). Fires at most
+/// once per service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MidBatchCrash {
     /// Which shard dies (taken modulo the shard count).
@@ -259,27 +259,10 @@ pub struct MidBatchCrash {
     pub at_begin: u64,
 }
 
-/// Flush triggers for shard-level dynamic batching (DESIGN.md §16): a
-/// worker drains its queue into a batch until the size cap, then
-/// Nagle-waits for companions only while the observed arrival rate
-/// says one is likely inside the deadline window.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Batch-size cap N: the most items one drain may collect.
-    pub max_batch: usize,
-    /// Upper bound D on the adaptive flush deadline, in microseconds.
-    /// `0` disables the Nagle wait entirely (pure greedy drain).
-    pub max_delay_micros: u64,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_batch: 32,
-            max_delay_micros: 150,
-        }
-    }
-}
+/// The most requests one drain takes off a shard queue (DESIGN.md
+/// §16): the worker blocks for one, then takes whatever else is
+/// already queued, up to this cap, without waiting for more.
+const MAX_DRAIN: usize = 32;
 
 /// Sizing knobs for the sharded service.
 #[derive(Debug, Clone, Copy)]
@@ -292,12 +275,10 @@ pub struct ServiceConfig {
     /// Entries each shard's idempotency cache holds before evicting
     /// the oldest (0 disables replay — every retransmit re-executes).
     pub dedup_capacity: usize,
-    /// Cross-client batching flush triggers.
-    pub batch: BatchConfig,
     /// Optional crash injection for the supervision tests.
     pub crash: Option<CrashPoint>,
-    /// Optional mid-batch crash injection (between batch verify and
-    /// group commit) for the batching chaos tests.
+    /// Optional mid-batch crash injection (between an item's Commit
+    /// and the drain's group commit) for the batching chaos tests.
     pub crash_mid_batch: Option<MidBatchCrash>,
 }
 
@@ -307,7 +288,6 @@ impl Default for ServiceConfig {
             shards: 1,
             queue_depth: 128,
             dedup_capacity: 1024,
-            batch: BatchConfig::default(),
             crash: None,
             crash_mid_batch: None,
         }
@@ -571,19 +551,7 @@ impl Shard {
     /// every *accepted* spend, so replay re-inserts exactly the spends
     /// the original execution accepted without re-running the ZK
     /// verification (whose verdict lives only in the journal).
-    ///
-    /// `preverified` carries this request's slice of a cross-client
-    /// combined verification (the worker's batch pre-pass); when
-    /// present, the `DepositBatch` arm consumes those verdicts instead
-    /// of re-verifying. Verdicts are bit-identical either way
-    /// (`ppms_ecash::batch` pins seed-independence), and the stateful
-    /// double-spend bookkeeping still runs here, in arrival order.
-    fn handle(
-        &mut self,
-        request: MaRequest,
-        effects: &mut Vec<(u32, u64)>,
-        preverified: Option<Vec<Result<u64, DecError>>>,
-    ) -> MaResponse {
+    fn handle(&mut self, request: MaRequest, effects: &mut Vec<(u32, u64)>) -> MaResponse {
         use MaRequest::*;
         match request {
             RegisterJoAccount { funds, clpk } => {
@@ -691,32 +659,21 @@ impl Shard {
                 self.obs
                     .histogram("deposit.batch_size")
                     .record(spends.len() as u64);
-                let verified: Vec<Result<u64, DecError>> = match preverified {
-                    Some(v) => {
-                        debug_assert_eq!(v.len(), spends.len());
-                        v
-                    }
-                    None => {
-                        let seed = ppms_ecash::batch_seed(&spends, b"");
-                        let v = ppms_ecash::verify_batch_chunked(
-                            seed,
-                            ppms_ecash::DEPOSIT_CHUNK,
-                            &self.shared.params,
-                            &self.shared.bank_pk,
-                            b"",
-                            &spends,
-                        );
-                        if !spends.is_empty() {
-                            // Amortized verify cost per spend; the
-                            // preverified path records its own sample
-                            // over the whole combined batch instead.
-                            self.obs.histogram("deposit.item_amortized_ns").record(
-                                (started.elapsed().as_nanos() / spends.len() as u128) as u64,
-                            );
-                        }
-                        v
-                    }
-                };
+                let seed = ppms_ecash::batch_seed(&spends, b"");
+                let verified = ppms_ecash::verify_batch_chunked(
+                    seed,
+                    ppms_ecash::DEPOSIT_CHUNK,
+                    &self.shared.params,
+                    &self.shared.bank_pk,
+                    b"",
+                    &spends,
+                );
+                if !spends.is_empty() {
+                    // Amortized verify cost per spend.
+                    self.obs
+                        .histogram("deposit.item_amortized_ns")
+                        .record((started.elapsed().as_nanos() / spends.len() as u128) as u64);
+                }
                 let mut total = 0u64;
                 let mut accepted = 0usize;
                 {
@@ -832,61 +789,6 @@ impl Shard {
     }
 }
 
-/// Where a shard journals its Begin/Commit records: the in-memory
-/// per-shard [`ShardWal`] (the default), or the shared on-disk
-/// [`DurableLog`] with this shard's tag on every record. Either way
-/// the records, replay semantics and torn-tail discipline are
-/// identical — the durable tier is the same journal on media that
-/// survives the process.
-#[derive(Clone)]
-enum ShardJournal {
-    Memory(Arc<ShardWal>),
-    Durable { shard: u32, log: Arc<DurableLog> },
-}
-
-impl ShardJournal {
-    fn append(&self, record: &WalRecord, ctx: SpanContext) {
-        match self {
-            ShardJournal::Memory(wal) => wal.append(record),
-            ShardJournal::Durable { shard, log } => {
-                // An append failure here means the storage device is
-                // gone mid-flight; there is no meaningful degraded
-                // mode for a write-ahead log, so fail the worker (the
-                // supervisor respawns it, and if storage stays dead
-                // the respawn loop surfaces the error to callers).
-                log.append_spanned(*shard, record, ctx)
-                    .expect("durable journal append failed");
-            }
-        }
-    }
-
-    fn replay(&self) -> WalReplay {
-        match self {
-            ShardJournal::Memory(wal) => wal.replay().expect("shard journal must replay cleanly"),
-            ShardJournal::Durable { shard, log } => log
-                .replay_shard(*shard)
-                .expect("durable journal must replay cleanly"),
-        }
-    }
-
-    /// Group commit: after a multi-item batch, force everything the
-    /// sync policy deferred to media in **one** fsync, so one
-    /// verification batch costs one fsync (`SyncPolicy::Batch`
-    /// coordination, DESIGN.md §16). Replies are held until this
-    /// returns, which makes batched acknowledgements *durable-before-
-    /// ack* even under a deferring policy. Under `SyncPolicy::Always`
-    /// everything already synced per append and this is free; the
-    /// in-memory journal has nothing to sync at all.
-    fn group_commit(&self) {
-        match self {
-            ShardJournal::Memory(_) => {}
-            ShardJournal::Durable { log, .. } => {
-                log.flush().expect("durable journal group commit failed");
-            }
-        }
-    }
-}
-
 /// What the dispatcher sends a shard worker: a routed request, or a
 /// checkpoint barrier asking for the shard's state projection. FIFO
 /// channel order is the correctness argument: by the time the worker
@@ -894,7 +796,28 @@ impl ShardJournal {
 /// barrier, so the projection is a consistent prefix.
 enum ShardMsg {
     Req(Box<Inbound>),
-    Project(Sender<ShardSection>),
+    Project(Barrier),
+}
+
+/// One shard's half of the checkpoint barrier. The worker sends its
+/// projection on `reply` and then holds until the dispatcher drops the
+/// sending end of `release`. While every shard holds, no worker can
+/// append, so the log's next LSN and the shared state the dispatcher
+/// reads describe the same cut as the projections — even though the
+/// TCP reactor keeps routing requests straight into the shard queues.
+struct Barrier {
+    reply: Sender<ShardSection>,
+    release: Receiver<()>,
+}
+
+impl Barrier {
+    fn answer(self, section: ShardSection) {
+        if self.reply.send(section).is_ok() {
+            // Only ever disconnects: the dispatcher releases every
+            // shard at once by dropping the sender.
+            let _ = self.release.recv();
+        }
+    }
 }
 
 /// Which shard handles a request. Affinity-keyed requests always land
@@ -930,13 +853,15 @@ fn route(key: Option<RequestKey>, request: &MaRequest, shards: usize, rr: &mut u
 /// same journal and crash bookkeeping.
 struct ShardWorker {
     shared: Arc<SharedState>,
-    journal: ShardJournal,
-    /// Checkpointed base state: the worker starts from this
-    /// projection and replays only the journal tail on top. In memory
-    /// mode it stays empty (the journal is the whole history); in
-    /// durable mode the dispatcher swaps in each checkpoint's
-    /// projection, which is what makes log compaction sound.
-    base: Arc<Mutex<ShardSection>>,
+    /// The service's write-ahead log; this worker tags its records
+    /// with `shard_idx`.
+    log: Arc<DurableLog>,
+    /// Checkpointed base state and the first LSN it does not cover:
+    /// the worker starts from this projection and replays only the
+    /// journal records at or past that LSN on top. The dispatcher
+    /// swaps in each checkpoint's projection, which is what makes log
+    /// compaction sound.
+    base: Arc<Mutex<(u64, ShardSection)>>,
     faults: FaultMetrics,
     /// The service registry: per-op latency, dedup hit/miss, WAL
     /// timings all land here.
@@ -949,10 +874,8 @@ struct ShardWorker {
     /// Where dead workers leave their crash-dump paths.
     dumps: Arc<Mutex<Vec<PathBuf>>>,
     dedup_capacity: usize,
-    /// This worker's shard index (names its per-shard gauges).
+    /// This worker's shard index (the tag on its log records).
     shard_idx: usize,
-    /// Cross-client batching flush triggers.
-    batch: BatchConfig,
     /// `(at_request, fired)` — exit when this incarnation's journal
     /// has `at_request` Begins, unless a previous incarnation already
     /// fired the crash.
@@ -978,11 +901,22 @@ impl ShardWorker {
         }
     }
 
+    fn append(&self, record: &WalRecord, ctx: SpanContext) {
+        // An append failure here means the storage device is gone
+        // mid-flight; there is no meaningful degraded mode for a
+        // write-ahead log, so fail the worker (the supervisor respawns
+        // it, and if storage stays dead the respawn loop surfaces the
+        // error to callers).
+        self.log
+            .append_spanned(self.shard_idx as u32, record, ctx)
+            .expect("journal append failed");
+    }
+
     fn run(self, srx: Receiver<ShardMsg>) {
-        // Recover: load the checkpointed base (durable mode; empty in
-        // memory mode), then rebuild private state and the
-        // idempotency cache from the journal tail. An undecodable
-        // journal is a bug, not a recoverable fault — fail loudly.
+        // Recover: load the checkpointed base, then rebuild private
+        // state and the idempotency cache from the journal tail. An
+        // undecodable journal is a bug, not a recoverable fault — fail
+        // loudly.
         let wal_replay_ns = self.obs.histogram("wal.replay_ns");
         let wal_append_ns = self.obs.histogram("wal.append_ns");
         let dedup_hits = self.obs.counter("ma.dedup.hits");
@@ -998,10 +932,16 @@ impl ShardWorker {
             labor: HashMap::new(),
             data_reports: HashMap::new(),
         };
-        shard.load_base(&self.base.lock(), &mut dedup);
+        let from_lsn = {
+            let base = self.base.lock();
+            shard.load_base(&base.1, &mut dedup);
+            base.0
+        };
         let replay = {
             let _span = Timed::new(&wal_replay_ns);
-            self.journal.replay()
+            self.log
+                .replay_shard(self.shard_idx as u32, from_lsn)
+                .expect("journal must replay cleanly")
         };
         self.faults.wal_discard(replay.discarded);
         for entry in &replay.committed {
@@ -1026,178 +966,59 @@ impl ShardWorker {
             )
         });
 
-        // Batching instrumentation (DESIGN.md §16): how batches form
-        // (`batch.drain_size`), why they flush (`batch.flush_*`), how
-        // many spends the cross-client preverify combined, and how
-        // many group commits amortized an fsync.
+        // Batching instrumentation (DESIGN.md §16): how big each drain
+        // is, and how many group commits amortized an fsync.
         let drain_size = self.obs.histogram("batch.drain_size");
-        let flush_full = self.obs.counter("batch.flush_full");
-        let flush_deadline = self.obs.counter("batch.flush_deadline");
-        let flush_drain = self.obs.counter("batch.flush_drain");
         let batch_items = self.obs.counter("batch.items");
         let batch_drains = self.obs.counter("batch.drains");
         let group_commits = self.obs.counter("batch.group_commits");
-        let preverify_spends = self.obs.histogram("batch.preverify_spends");
-        let amortized_ns = self.obs.histogram("deposit.item_amortized_ns");
-        let delay_gauge = self
-            .obs
-            .gauge(&format!("ma.shard{}.batch_delay_us", self.shard_idx));
-        let max_batch = self.batch.max_batch.max(1);
-        let max_delay_ns = self.batch.max_delay_micros.saturating_mul(1_000);
-        // Nagle state: an EWMA of inter-arrival gaps. It starts
-        // pessimistic (gaps far wider than any deadline budget — no
-        // wait) and only genuinely fast arrivals pull it down.
-        let mut ewma_gap_ns: f64 = 1e9;
-        let mut last_arrival = std::time::Instant::now();
         // Reusable batch scratch, reclaimed across iterations.
-        let mut batch: Vec<Inbound> = Vec::with_capacity(max_batch);
-        let mut held: Vec<(Sender<MaResponse>, MaResponse)> = Vec::with_capacity(max_batch);
-        let mut preverified: Vec<Option<Vec<Result<u64, DecError>>>> =
-            Vec::with_capacity(max_batch);
+        let mut batch: Vec<Inbound> = Vec::with_capacity(MAX_DRAIN);
+        let mut held: Vec<(Sender<MaResponse>, MaResponse)> = Vec::with_capacity(MAX_DRAIN);
 
         loop {
-            batch.clear();
-            held.clear();
-            preverified.clear();
-            let mut barrier: Option<Sender<ShardSection>> = None;
+            let mut barrier: Option<Barrier> = None;
             let mut closed = false;
 
-            // Phase 1 — collect: block for the first item, then drain
-            // greedily up to the cap N, Nagle-waiting out the adaptive
-            // deadline D only while the observed arrival rate makes a
-            // companion likely inside it. D collapses to zero at low
-            // load, so a lone request is never delayed. A checkpoint
-            // barrier seals the batch: it is answered after the batch
-            // executes, preserving the FIFO consistent-prefix
-            // argument.
+            // Collect: block for the first item, then take whatever is
+            // already queued, up to MAX_DRAIN, without waiting for
+            // more. A checkpoint barrier seals the batch: it is
+            // answered after the batch executes, preserving the FIFO
+            // consistent-prefix argument.
             match srx.recv() {
                 Ok(ShardMsg::Req(inbound)) => batch.push(*inbound),
-                Ok(ShardMsg::Project(reply)) => {
-                    // Everything routed before this message has
-                    // already executed (FIFO), so the projection is a
-                    // consistent prefix of this shard.
-                    let _ = reply.send(shard.project(&dedup));
+                Ok(ShardMsg::Project(barrier)) => {
+                    barrier.answer(shard.project(&dedup));
                     continue;
                 }
                 Err(_) => return,
             }
-            let now = std::time::Instant::now();
-            let gap = now.duration_since(last_arrival).as_nanos() as f64;
-            last_arrival = now;
-            ewma_gap_ns = 0.75 * ewma_gap_ns + 0.25 * gap;
-            // Wait ~4 expected gaps, and only when at least two of
-            // them fit the deadline budget; otherwise flush instantly.
-            let delay_ns = if max_delay_ns > 0 && 2.0 * ewma_gap_ns <= max_delay_ns as f64 {
-                ((4.0 * ewma_gap_ns) as u64).min(max_delay_ns)
-            } else {
-                0
-            };
-            delay_gauge.set((delay_ns / 1_000) as i64);
-            let deadline = now + std::time::Duration::from_nanos(delay_ns);
-            let mut reason = &flush_drain;
-            while batch.len() < max_batch && barrier.is_none() && !closed {
+            while batch.len() < MAX_DRAIN {
                 match srx.try_recv() {
-                    Ok(ShardMsg::Req(inbound)) => {
-                        let now = std::time::Instant::now();
-                        let gap = now.duration_since(last_arrival).as_nanos() as f64;
-                        last_arrival = now;
-                        ewma_gap_ns = 0.75 * ewma_gap_ns + 0.25 * gap;
-                        batch.push(*inbound);
+                    Ok(ShardMsg::Req(inbound)) => batch.push(*inbound),
+                    Ok(ShardMsg::Project(b)) => {
+                        barrier = Some(b);
+                        break;
                     }
-                    Ok(ShardMsg::Project(reply)) => barrier = Some(reply),
-                    Err(channel::TryRecvError::Empty) => {
-                        let now = std::time::Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match srx.recv_timeout(deadline - now) {
-                            Ok(ShardMsg::Req(inbound)) => {
-                                let now = std::time::Instant::now();
-                                let gap = now.duration_since(last_arrival).as_nanos() as f64;
-                                last_arrival = now;
-                                ewma_gap_ns = 0.75 * ewma_gap_ns + 0.25 * gap;
-                                batch.push(*inbound);
-                            }
-                            Ok(ShardMsg::Project(reply)) => barrier = Some(reply),
-                            Err(channel::RecvTimeoutError::Timeout) => {
-                                reason = &flush_deadline;
-                                break;
-                            }
-                            Err(channel::RecvTimeoutError::Disconnected) => closed = true,
-                        }
+                    Err(channel::TryRecvError::Empty) => break,
+                    Err(channel::TryRecvError::Disconnected) => {
+                        closed = true;
+                        break;
                     }
-                    Err(channel::TryRecvError::Disconnected) => closed = true,
                 }
             }
-            if batch.len() >= max_batch {
-                reason = &flush_full;
-            }
-            reason.inc();
             batch_drains.inc();
             batch_items.add(batch.len() as u64);
             drain_size.record(batch.len() as u64);
             self.queue_depth.sub(batch.len() as i64);
             let lead_ctx = batch[0].span;
 
-            // Phase 2 — cross-client preverify: move every
-            // non-replayed deposit's spends (admission deposits
-            // included — they ride the same request shape) into one
-            // combined slice and run the whole thing through the
-            // chunked combined verification. Bisection inside
-            // `verify_batch` isolates a cheater without poisoning its
-            // batch neighbors, and verdicts are bit-identical to
-            // per-item verification regardless of the seed, so
-            // scattering them back per item keeps execution
-            // sequential-equivalent. The *stateful* double-spend
-            // bookkeeping is not here: it stays in the handler, per
-            // item, in arrival order.
-            preverified.extend((0..batch.len()).map(|_| None));
-            let mut combined: Vec<Spend> = Vec::new();
-            let mut plan: Vec<(usize, usize)> = Vec::new();
-            for (i, inbound) in batch.iter_mut().enumerate() {
-                if inbound.key.is_some_and(|k| dedup.get(&k).is_some()) {
-                    continue; // replays below; never re-verify
-                }
-                if let MaRequest::DepositBatch { spends, .. } = &mut inbound.request {
-                    if spends.is_empty() {
-                        continue;
-                    }
-                    plan.push((i, spends.len()));
-                    combined.append(spends);
-                }
-            }
-            if !combined.is_empty() {
-                let pv_span = Span::child("shard.preverify", lead_ctx);
-                let started = std::time::Instant::now();
-                preverify_spends.record(combined.len() as u64);
-                let seed = ppms_ecash::batch_seed(&combined, b"");
-                let verdicts = ppms_ecash::verify_batch_chunked(
-                    seed,
-                    ppms_ecash::DEPOSIT_CHUNK,
-                    &self.shared.params,
-                    &self.shared.bank_pk,
-                    b"",
-                    &combined,
-                );
-                amortized_ns.record((started.elapsed().as_nanos() / combined.len() as u128) as u64);
-                drop(pv_span);
-                let mut verdicts = verdicts.into_iter();
-                let mut spends_back = combined.into_iter();
-                for &(i, n) in &plan {
-                    let MaRequest::DepositBatch { spends, .. } = &mut batch[i].request else {
-                        unreachable!("plan entries are deposits")
-                    };
-                    spends.extend(spends_back.by_ref().take(n));
-                    preverified[i] = Some(verdicts.by_ref().take(n).collect());
-                }
-            }
-
-            // Phase 3 — execute, strictly in arrival order. Replies
-            // are collected, not sent: they are released only after
-            // the batch's group commit, so a batched acknowledgement
-            // is never weaker than an unbatched one.
+            // Execute, strictly in arrival order. Replies are
+            // collected, not sent: they are released only after the
+            // batch's group commit, so a batched acknowledgement is
+            // never weaker than an unbatched one.
             let mut committed = 0usize;
-            for (i, inbound) in batch.drain(..).enumerate() {
+            for inbound in batch.drain(..) {
                 let Inbound {
                     key,
                     span,
@@ -1223,11 +1044,12 @@ impl ShardWorker {
                     }
                 }
                 dedup_misses.inc();
-                // Service latency from here: WAL Begin + execute +
-                // Commit. The causal span covers the same window,
-                // parented under whatever delivered the request (a
-                // transport attempt or a reactor read), so exported
-                // traces show shard residency.
+                // Service latency from here: WAL Begin + execute
+                // (deposit verification included) + Commit. The causal
+                // span covers the same window, parented under whatever
+                // delivered the request (a transport attempt or a
+                // reactor read), so exported traces show shard
+                // residency.
                 let handle_span = Span::child("shard.handle", span);
                 let op_hist = op_hists
                     .entry(label)
@@ -1241,7 +1063,7 @@ impl ShardWorker {
                     let _span = Timed::new(&wal_append_ns);
                     let wal_span = Span::child("wal.append", handle_span.ctx());
                     let record = WalRecord::Begin { key, span, request };
-                    self.journal.append(&record, wal_span.ctx());
+                    self.append(&record, wal_span.ctx());
                     record
                 };
                 let WalRecord::Begin { request, .. } = record else {
@@ -1269,13 +1091,12 @@ impl ShardWorker {
                     }
                 }
 
-                let pv = preverified[i].take();
                 // A panic inside a handler kills only this worker; the
                 // supervisor respawns it and the journal replay
                 // restores everything committed before the blast.
                 let (response, effects) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut effects = Vec::new();
-                    let response = shard.handle(request, &mut effects, pv);
+                    let response = shard.handle(request, &mut effects);
                     (response, effects)
                 })) {
                     Ok(pair) => pair,
@@ -1300,7 +1121,7 @@ impl ShardWorker {
                         response,
                         effects,
                     };
-                    self.journal.append(&record, wal_span.ctx());
+                    self.append(&record, wal_span.ctx());
                     record
                 };
                 let WalRecord::Commit { response, .. } = record else {
@@ -1337,14 +1158,17 @@ impl ShardWorker {
                 held.push((reply, response));
             }
 
-            // Phase 4 — group commit, then release the held replies.
-            // One fsync covers the whole batch under a deferring sync
-            // policy; a batch of one keeps the per-append policy
-            // untouched (no forced fsync), so sequential drivers see
-            // byte-identical fsync behavior to the unbatched pipeline.
+            // Group commit, then release the held replies. After a
+            // multi-item batch, one fsync forces everything the sync
+            // policy deferred to media, so one batch costs one fsync;
+            // holding the replies until it returns makes batched
+            // acknowledgements durable-before-ack even under a
+            // deferring policy. A batch of one keeps the per-append
+            // policy untouched (no forced fsync), so sequential
+            // drivers see the same fsyncs as an unbatched pipeline.
             if committed > 1 {
                 let gc_span = Span::child("wal.group_commit", lead_ctx);
-                self.journal.group_commit();
+                self.log.flush().expect("journal group commit failed");
                 group_commits.inc();
                 drop(gc_span);
             }
@@ -1352,8 +1176,8 @@ impl ShardWorker {
                 // A vanished client is not an MA failure.
                 let _ = reply.send(response);
             }
-            if let Some(reply) = barrier {
-                let _ = reply.send(shard.project(&dedup));
+            if let Some(barrier) = barrier {
+                barrier.answer(shard.project(&dedup));
             }
             if closed {
                 return;
@@ -1394,7 +1218,7 @@ pub struct RecoveryReport {
     pub segments_read: usize,
 }
 
-/// Durable-tier state owned by the dispatcher.
+/// Write-ahead-log and checkpoint state owned by the dispatcher.
 struct DurableCtx {
     log: Arc<DurableLog>,
     config: DurabilityConfig,
@@ -1496,7 +1320,7 @@ fn apply_shared_effects(
 }
 
 /// The supervisor thread's state: routes requests to shards, respawns
-/// dead workers, and (in durable mode) runs the checkpoint protocol.
+/// dead workers, and runs the checkpoint protocol.
 struct Dispatcher {
     shared: Arc<SharedState>,
     faults: FaultMetrics,
@@ -1506,23 +1330,21 @@ struct Dispatcher {
     dedup_capacity: usize,
     depth: usize,
     n_shards: usize,
-    /// One journal per shard; outlives any worker incarnation so a
-    /// respawn resumes from it.
-    journals: Vec<ShardJournal>,
-    /// One checkpointed base per shard, swapped at each checkpoint.
-    bases: Vec<Arc<Mutex<ShardSection>>>,
+    /// One checkpointed base per shard (with the first LSN it does not
+    /// cover), swapped at each checkpoint; outlives any worker
+    /// incarnation so a respawn resumes from it.
+    bases: Vec<Arc<Mutex<(u64, ShardSection)>>>,
     /// One crash latch per shard, shared across incarnations.
     crashes: Vec<Option<(u64, Arc<AtomicBool>)>>,
     /// Mid-batch crash latches, ditto.
     mid_crashes: Vec<Option<(u64, Arc<AtomicBool>)>>,
-    batch: BatchConfig,
     queue_gauges: Vec<Arc<ppms_obs::Gauge>>,
     /// Shard inboxes, shared with every [`ShardRouter`] so direct
     /// routes keep working across worker respawns.
     shard_txs: Arc<Mutex<Vec<Sender<ShardMsg>>>>,
     shard_handles: Vec<Option<JoinHandle<()>>>,
     rr: usize,
-    durable: Option<DurableCtx>,
+    durable: DurableCtx,
 }
 
 impl Dispatcher {
@@ -1530,7 +1352,7 @@ impl Dispatcher {
         let (stx, srx): (Sender<ShardMsg>, Receiver<ShardMsg>) = channel::bounded(self.depth);
         let worker = ShardWorker {
             shared: self.shared.clone(),
-            journal: self.journals[idx].clone(),
+            log: self.durable.log.clone(),
             base: self.bases[idx].clone(),
             faults: self.faults.clone(),
             obs: self.obs.clone(),
@@ -1540,7 +1362,6 @@ impl Dispatcher {
             dedup_capacity: self.dedup_capacity,
             crash: self.crashes[idx].clone(),
             shard_idx: idx,
-            batch: self.batch,
             crash_mid_batch: self.mid_crashes[idx].clone(),
         };
         let handle = std::thread::spawn(move || worker.run(srx));
@@ -1594,41 +1415,48 @@ impl Dispatcher {
                 self.queue_gauges[idx].add(1);
             }
         }
-        if let Some(d) = &self.durable {
-            let pending = d.log.next_lsn().saturating_sub(d.covered);
-            d.since_snapshot.set(pending as i64);
-            if d.config.checkpoint_every > 0 && pending >= d.config.checkpoint_every {
-                // Scheduled checkpoint. A failure (e.g. an injected
-                // torn snapshot write) is not fatal: the log still
-                // holds everything, only compaction is deferred.
-                let _ = self.checkpoint();
-            }
+    }
+
+    /// Takes a scheduled checkpoint once `checkpoint_every` records
+    /// have accumulated past the last snapshot. Runs after every
+    /// delivery and on every idle tick, because requests the TCP
+    /// reactor routes straight into the shard queues never pass
+    /// through [`Dispatcher::deliver`].
+    fn maybe_checkpoint(&mut self) {
+        let d = &self.durable;
+        let pending = d.log.next_lsn().saturating_sub(d.covered);
+        d.since_snapshot.set(pending as i64);
+        if d.config.checkpoint_every > 0 && pending >= d.config.checkpoint_every {
+            // A failure (e.g. an injected torn snapshot write) is not
+            // fatal: the log still holds everything, only compaction
+            // is deferred.
+            let _ = self.checkpoint();
         }
     }
 
     /// The checkpoint protocol: barrier every shard for its
-    /// projection, fsync the log, publish one atomic snapshot of the
-    /// whole market, compact the log behind it, and adopt the
-    /// projections as the workers' respawn bases. Returns the covered
-    /// LSN — the point recovery will replay from.
+    /// projection, fsync the log, read the covered LSN and the shared
+    /// state while every shard holds, release the shards, then publish
+    /// one atomic snapshot of the whole market, compact the log behind
+    /// it, and adopt the projections as the workers' respawn bases.
+    /// Returns the covered LSN — the point recovery will replay from.
     fn checkpoint(&mut self) -> Result<u64, StorageError> {
-        if self.durable.is_none() {
-            return Err(StorageError::Io(
-                "service has no durable storage tier".into(),
-            ));
-        }
-        // Projection barrier. The dispatcher is not routing while
-        // this runs and channels are FIFO, so each shard's answer
-        // reflects exactly the requests delivered before the barrier
-        // — and between barriers no new work is delivered, making the
-        // union a consistent cut. A dead worker is respawned and
-        // asked again: the fresh incarnation answers from base +
+        // Projection barrier. Each shard answers once it has executed
+        // everything queued before the barrier, then holds until
+        // `release` drops; direct routers may keep filling its queue,
+        // but nothing executes or appends. A dead worker is respawned
+        // and asked again: the fresh incarnation answers from base +
         // journal tail, which is the same state.
+        let (release, hold) = channel::bounded::<()>(0);
         let mut sections: Vec<ShardSection> = Vec::with_capacity(self.n_shards);
         for idx in 0..self.n_shards {
             loop {
                 let (ptx, prx) = channel::bounded(1);
-                if self.shard_tx(idx).send(ShardMsg::Project(ptx)).is_err() {
+                let barrier = Barrier {
+                    reply: ptx,
+                    release: hold.clone(),
+                };
+                if self.shard_tx(idx).send(ShardMsg::Project(barrier)).is_err() {
                     self.respawn(idx);
                     continue;
                 }
@@ -1641,16 +1469,10 @@ impl Dispatcher {
                 }
             }
         }
-        let (log, storage, keep) = {
-            let d = self.durable.as_ref().expect("durable ctx");
-            (
-                d.log.clone(),
-                d.config.storage.clone(),
-                d.config.keep_snapshots,
-            )
-        };
+        let log = self.durable.log.clone();
         // Everything the snapshot will cover must be durable *before*
-        // the snapshot claims to cover it.
+        // the snapshot claims to cover it. (Every early return drops
+        // `release` and so lets the shards go.)
         log.flush()?;
         let covered = log.next_lsn();
         let gate = self.request_gate_blob();
@@ -1685,26 +1507,26 @@ impl Dispatcher {
                 gate,
             }
         };
-        if let Err(e) = save_snapshot(&storage, &state, keep) {
+        drop(release);
+        let d = &mut self.durable;
+        if let Err(e) = save_snapshot(&d.config.storage, &state, d.config.keep_snapshots) {
             // The snapshot never became durable: keep the old covered
             // point, skip compaction, leave the old bases in place.
             // The log still holds the full tail, so nothing is lost.
-            self.durable
-                .as_ref()
-                .expect("durable ctx")
-                .snapshot_failures
-                .inc();
+            d.snapshot_failures.inc();
             return Err(e);
         }
+        // Workers may already have appended past `covered`; the bases
+        // record where their replay resumes.
         log.compact(covered)?;
         for (base, section) in self.bases.iter().zip(sections) {
-            *base.lock() = section;
+            *base.lock() = (covered, section);
         }
-        let d = self.durable.as_mut().expect("durable ctx");
         d.covered = covered;
         d.snapshots.inc();
         d.last_snapshot_lsn.set(covered as i64);
-        d.since_snapshot.set(0);
+        d.since_snapshot
+            .set(log.next_lsn().saturating_sub(covered) as i64);
         Ok(covered)
     }
 
@@ -1713,8 +1535,7 @@ impl Dispatcher {
     /// answer. `None` — no front door, or a stopped reactor — just
     /// omits the gate section from the snapshot.
     fn request_gate_blob(&self) -> Option<Vec<u8>> {
-        let d = self.durable.as_ref()?;
-        let hook = d.gate_hook.lock().clone()?;
+        let hook = self.durable.gate_hook.lock().clone()?;
         hook.request();
         for _ in 0..500 {
             if let Some(blob) = hook.take_blob() {
@@ -1743,9 +1564,10 @@ impl Dispatcher {
                     break Some(inbound.reply);
                 }
                 Ok(inbound) => self.deliver(inbound),
-                Err(channel::RecvTimeoutError::Timeout) => continue,
+                Err(channel::RecvTimeoutError::Timeout) => {}
                 Err(channel::RecvTimeoutError::Disconnected) => break None,
             }
+            self.maybe_checkpoint();
         };
 
         // Graceful drain: close the shard queues, let every queued
@@ -1757,11 +1579,9 @@ impl Dispatcher {
         {
             let _ = h.join();
         }
-        if let Some(d) = &self.durable {
-            // Shutdown barrier: whatever the sync policy deferred
-            // reaches media before the process exits.
-            let _ = d.log.flush();
-        }
+        // Shutdown barrier: whatever the sync policy deferred reaches
+        // media before the process exits.
+        let _ = self.durable.log.flush();
         let undelivered = self.shared.held.lock().pending.len();
         if let Some(reply) = shutdown_reply {
             let _ = reply.send(MaResponse::Drained {
@@ -1770,7 +1590,6 @@ impl Dispatcher {
         }
     }
 }
-
 impl MaService {
     /// Spawns the MA service with the default configuration (one
     /// shard — the sequential-service behavior).
@@ -1790,9 +1609,10 @@ impl MaService {
     }
 
     /// Spawns the MA service: one supervising dispatcher thread plus
-    /// `config.shards` shard workers behind bounded channels. Journals
-    /// are in-memory — state survives *worker* crashes but not the
-    /// process; see [`MaService::spawn_durable`] for the disk tier.
+    /// `config.shards` shard workers behind bounded channels. The
+    /// write-ahead log lives in fresh in-memory [`SimStorage`] — state
+    /// survives *worker* crashes but not the process; see
+    /// [`MaService::spawn_durable`] for storage that outlives it.
     pub fn spawn_with_config<R: rand::Rng + ?Sized>(
         rng: &mut R,
         params: DecParams,
@@ -1800,13 +1620,13 @@ impl MaService {
         pairing_bits: usize,
         config: ServiceConfig,
     ) -> MaService {
-        let (svc, _report) = Self::spawn_inner(rng, params, rsa_bits, pairing_bits, config, None)
-            .expect("in-memory spawn touches no storage and cannot fail");
-        svc
+        let durability = DurabilityConfig::new(Arc::new(SimStorage::new()));
+        Self::spawn_durable(rng, params, rsa_bits, pairing_bits, config, durability)
+            .expect("fresh in-memory storage cannot fail")
     }
 
     /// Spawns the MA service over a durable storage tier: every
-    /// journal record lands in the on-disk segment log under
+    /// journal record lands in the segment log under
     /// `durability.storage`, checkpoints snapshot the whole market
     /// (and compact the log behind them), and a later
     /// [`MaService::recover`] over the same storage resumes where this
@@ -1820,15 +1640,7 @@ impl MaService {
         config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Result<MaService, StorageError> {
-        Self::spawn_inner(
-            rng,
-            params,
-            rsa_bits,
-            pairing_bits,
-            config,
-            Some(durability),
-        )
-        .map(|(svc, _report)| svc)
+        Self::recover(rng, params, rsa_bits, pairing_bits, config, durability).map(|(svc, _)| svc)
     }
 
     /// Cold-start recovery: rebuilds a full service from the newest
@@ -1844,24 +1656,6 @@ impl MaService {
         pairing_bits: usize,
         config: ServiceConfig,
         durability: DurabilityConfig,
-    ) -> Result<(MaService, RecoveryReport), StorageError> {
-        Self::spawn_inner(
-            rng,
-            params,
-            rsa_bits,
-            pairing_bits,
-            config,
-            Some(durability),
-        )
-    }
-
-    fn spawn_inner<R: rand::Rng + ?Sized>(
-        rng: &mut R,
-        params: DecParams,
-        rsa_bits: usize,
-        pairing_bits: usize,
-        config: ServiceConfig,
-        durability: Option<DurabilityConfig>,
     ) -> Result<(MaService, RecoveryReport), StorageError> {
         // Build the fixed-base window tables once, up front: every
         // shard and every client clone of `params` share the per-ring
@@ -1885,8 +1679,8 @@ impl MaService {
         let depth = config.queue_depth.max(1);
         let dedup_capacity = config.dedup_capacity;
 
-        let bases: Vec<Arc<Mutex<ShardSection>>> = (0..n_shards)
-            .map(|_| Arc::new(Mutex::new(ShardSection::default())))
+        let bases: Vec<Arc<Mutex<(u64, ShardSection)>>> = (0..n_shards)
+            .map(|_| Arc::new(Mutex::new((0, ShardSection::default()))))
             .collect();
         let mut cl_map: HashMap<AccountId, ClPublicKey> = HashMap::new();
         let mut held = HeldPayments::default();
@@ -1894,112 +1688,108 @@ impl MaService {
         let gate_hook: Arc<Mutex<Option<Arc<GateCheckpoint>>>> = Arc::new(Mutex::new(None));
         let mut recovered_gate = None;
 
-        // Durable mode: open the log, restore the newest readable
-        // snapshot into the shared structures, then replay the log
-        // tail's shared effects. (Workers replay the same tail for
-        // their private state when they start.)
-        let durable = match &durability {
-            None => None,
-            Some(cfg) => {
-                let (log, log_rec) =
-                    DurableLog::open(cfg.storage.clone(), cfg.sync, cfg.segment_bytes, &obs)?;
-                let log = Arc::new(log);
-                let snap = load_latest(&cfg.storage)?;
-                report.snapshots_skipped = snap.skipped.len();
-                let mut covered = 0u64;
-                if let Some(state) = snap.state {
-                    if state.shards.len() != n_shards {
-                        return Err(StorageError::ShardMismatch {
-                            snapshot: state.shards.len(),
-                            config: n_shards,
-                        });
-                    }
-                    covered = state.covered;
-                    for &(id, balance) in &state.bank.accounts {
-                        bank.restore_account(AccountId(id), balance);
-                    }
-                    for job in state.jobs {
-                        bulletin.restore_job(job);
-                    }
-                    for (account, pk) in state.cl_bindings {
-                        cl_map.insert(AccountId(account), pk);
-                    }
-                    dec_bank.restore_state(&state.dec);
-                    held.pending = state.pending_payments.into_iter().collect();
-                    held.received = state.received_reports.into_iter().collect();
-                    for (base, section) in bases.iter().zip(state.shards) {
-                        *base.lock() = section;
-                    }
-                    recovered_gate = state.gate;
-                    report.snapshot = snap.name;
-                    report.snapshot_lsn = covered;
-                }
-                if log_rec.start_lsn > covered {
-                    // Records between the snapshot's coverage and the
-                    // log's first segment are gone — compaction ran
-                    // against a snapshot we can no longer read. State
-                    // cannot be reconstructed faithfully; refuse.
-                    return Err(StorageError::Corrupt {
-                        file: String::new(),
-                        offset: 0,
-                        detail: format!(
-                            "log starts at lsn {} but newest readable snapshot covers only {}",
-                            log_rec.start_lsn, covered
-                        ),
-                    });
-                }
-                // Shared-effects replay, in global commit order. Each
-                // shard's records pair up Begin/Commit independently.
-                let mut pending_begin: HashMap<u32, MaRequest> = HashMap::new();
-                let mut replayed = 0usize;
-                let mut discarded = 0u64;
-                for (lsn, shard, record) in &log_rec.records {
-                    if *lsn < covered {
-                        continue;
-                    }
-                    replayed += 1;
-                    match record {
-                        WalRecord::Begin { request, .. } => {
-                            if pending_begin.insert(*shard, request.clone()).is_some() {
-                                // Begin over Begin: the older one died
-                                // in flight (worker crash); discard.
-                                discarded += 1;
-                            }
-                        }
-                        WalRecord::Commit {
-                            response, effects, ..
-                        } => {
-                            let Some(request) = pending_begin.remove(shard) else {
-                                return Err(StorageError::Corrupt {
-                                    file: String::new(),
-                                    offset: 0,
-                                    detail: format!(
-                                        "lsn {lsn}: commit without begin on shard {shard}"
-                                    ),
-                                });
-                            };
-                            apply_shared_effects(
-                                &request,
-                                response,
-                                effects,
-                                &bank,
-                                &bulletin,
-                                &mut dec_bank,
-                                &mut cl_map,
-                                &mut held,
-                                params.face_value(),
-                            );
-                        }
-                    }
-                }
-                discarded += pending_begin.len() as u64;
-                report.replayed_records = replayed;
-                report.discarded_inflight = discarded;
-                report.torn_tail_bytes = log_rec.torn_bytes;
-                report.segments_read = log_rec.segments_read;
-                Some((log, cfg.clone(), covered))
+        // Open the log, restore the newest readable snapshot into the
+        // shared structures, then replay the log tail's shared effects.
+        // (Workers replay the same tail for their private state when
+        // they start.)
+        let (log, log_rec) = DurableLog::open(
+            durability.storage.clone(),
+            durability.sync,
+            durability.segment_bytes,
+            &obs,
+        )?;
+        let log = Arc::new(log);
+        let snap = load_latest(&durability.storage)?;
+        report.snapshots_skipped = snap.skipped.len();
+        let mut covered = 0u64;
+        if let Some(state) = snap.state {
+            if state.shards.len() != n_shards {
+                return Err(StorageError::ShardMismatch {
+                    snapshot: state.shards.len(),
+                    config: n_shards,
+                });
             }
-        };
+            covered = state.covered;
+            for &(id, balance) in &state.bank.accounts {
+                bank.restore_account(AccountId(id), balance);
+            }
+            for job in state.jobs {
+                bulletin.restore_job(job);
+            }
+            for (account, pk) in state.cl_bindings {
+                cl_map.insert(AccountId(account), pk);
+            }
+            dec_bank.restore_state(&state.dec);
+            held.pending = state.pending_payments.into_iter().collect();
+            held.received = state.received_reports.into_iter().collect();
+            for (base, section) in bases.iter().zip(state.shards) {
+                *base.lock() = (covered, section);
+            }
+            recovered_gate = state.gate;
+            report.snapshot = snap.name;
+            report.snapshot_lsn = covered;
+        }
+        if log_rec.start_lsn > covered {
+            // Records between the snapshot's coverage and the
+            // log's first segment are gone — compaction ran
+            // against a snapshot we can no longer read. State
+            // cannot be reconstructed faithfully; refuse.
+            return Err(StorageError::Corrupt {
+                file: String::new(),
+                offset: 0,
+                detail: format!(
+                    "log starts at lsn {} but newest readable snapshot covers only {}",
+                    log_rec.start_lsn, covered
+                ),
+            });
+        }
+        // Shared-effects replay, in global commit order. Each
+        // shard's records pair up Begin/Commit independently.
+        let mut pending_begin: HashMap<u32, MaRequest> = HashMap::new();
+        let mut replayed = 0usize;
+        let mut discarded = 0u64;
+        for (lsn, shard, record) in &log_rec.records {
+            if *lsn < covered {
+                continue;
+            }
+            replayed += 1;
+            match record {
+                WalRecord::Begin { request, .. } => {
+                    if pending_begin.insert(*shard, request.clone()).is_some() {
+                        // Begin over Begin: the older one died
+                        // in flight (worker crash); discard.
+                        discarded += 1;
+                    }
+                }
+                WalRecord::Commit {
+                    response, effects, ..
+                } => {
+                    let Some(request) = pending_begin.remove(shard) else {
+                        return Err(StorageError::Corrupt {
+                            file: String::new(),
+                            offset: 0,
+                            detail: format!("lsn {lsn}: commit without begin on shard {shard}"),
+                        });
+                    };
+                    apply_shared_effects(
+                        &request,
+                        response,
+                        effects,
+                        &bank,
+                        &bulletin,
+                        &mut dec_bank,
+                        &mut cl_map,
+                        &mut held,
+                        params.face_value(),
+                    );
+                }
+            }
+        }
+        discarded += pending_begin.len() as u64;
+        report.replayed_records = replayed;
+        report.discarded_inflight = discarded;
+        report.torn_tail_bytes = log_rec.torn_bytes;
+        report.segments_read = log_rec.segments_read;
 
         let shared = Arc::new(SharedState {
             bank: bank.clone(),
@@ -2044,33 +1834,20 @@ impl MaService {
         let queue_gauges: Vec<_> = (0..n_shards)
             .map(|i| obs.gauge(&format!("ma.shard{i}.queue_depth")))
             .collect();
-        let journals: Vec<ShardJournal> = match &durable {
-            None => (0..n_shards)
-                .map(|_| ShardJournal::Memory(Arc::new(ShardWal::new())))
-                .collect(),
-            Some((log, _, _)) => (0..n_shards)
-                .map(|i| ShardJournal::Durable {
-                    shard: i as u32,
-                    log: log.clone(),
-                })
-                .collect(),
+        let durable = DurableCtx {
+            snapshots: obs.counter("wal.snapshots"),
+            snapshot_failures: obs.counter("wal.snapshot_failures"),
+            last_snapshot_lsn: obs.gauge("wal.last_snapshot_lsn"),
+            since_snapshot: obs.gauge("wal.records_since_snapshot"),
+            log,
+            config: durability,
+            covered,
+            gate_hook: gate_hook.clone(),
         };
-        let durable_ctx = durable.map(|(log, cfg, covered)| {
-            let ctx = DurableCtx {
-                snapshots: obs.counter("wal.snapshots"),
-                snapshot_failures: obs.counter("wal.snapshot_failures"),
-                last_snapshot_lsn: obs.gauge("wal.last_snapshot_lsn"),
-                since_snapshot: obs.gauge("wal.records_since_snapshot"),
-                log,
-                config: cfg,
-                covered,
-                gate_hook: gate_hook.clone(),
-            };
-            ctx.last_snapshot_lsn.set(covered as i64);
-            ctx.since_snapshot
-                .set(ctx.log.next_lsn().saturating_sub(covered) as i64);
-            ctx
-        });
+        durable.last_snapshot_lsn.set(covered as i64);
+        durable
+            .since_snapshot
+            .set(durable.log.next_lsn().saturating_sub(covered) as i64);
 
         let mut dispatcher = Dispatcher {
             shared,
@@ -2081,16 +1858,14 @@ impl MaService {
             dedup_capacity,
             depth,
             n_shards,
-            journals,
             bases,
             crashes,
             mid_crashes,
-            batch: config.batch,
             queue_gauges: queue_gauges.clone(),
             shard_txs: Arc::new(Mutex::new(Vec::with_capacity(n_shards))),
             shard_handles: Vec::with_capacity(n_shards),
             rr: 0,
-            durable: durable_ctx,
+            durable,
         };
         let shard_txs = dispatcher.shard_txs.clone();
         let handle = std::thread::spawn(move || {
@@ -2128,9 +1903,9 @@ impl MaService {
     /// Takes a checkpoint now: barriers the shards for their
     /// projections, publishes one atomic snapshot of the whole market
     /// and compacts the log behind it. Returns the covered LSN — the
-    /// point a future recovery replays from. Fails if the service has
-    /// no durable tier or the snapshot could not be published (the
-    /// log is untouched in that case; nothing is lost).
+    /// point a future recovery replays from. Fails if the snapshot
+    /// could not be published (the log is untouched in that case;
+    /// nothing is lost).
     pub fn checkpoint(&self) -> Result<u64, StorageError> {
         let (reply_tx, reply_rx) = channel::bounded(1);
         self.ctrl
@@ -2739,8 +2514,6 @@ mod tests {
         svc.shutdown();
     }
 
-    use crate::storage::SimStorage;
-
     fn durable_service(
         seed: u64,
         config: ServiceConfig,
@@ -2946,13 +2719,5 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn checkpoint_without_durable_tier_errors() {
-        let (svc, _rng) = service(43);
-        let err = svc.checkpoint().expect_err("in-memory service");
-        assert!(matches!(err, StorageError::Io(_)), "{err:?}");
-        svc.shutdown();
     }
 }

@@ -1,6 +1,5 @@
-//! The on-disk WAL: an append-only sequence of segment files over a
-//! [`Storage`] backend, reusing the exact record framing of the
-//! in-memory shard journal (`crate::wal`).
+//! The WAL: an append-only sequence of segment files over a
+//! [`Storage`] backend, framing the journal records of `crate::wal`.
 //!
 //! Layout. Records carry a global, strictly increasing LSN. Each
 //! segment file `wal-<start_lsn:016x>.seg` begins with a 16-byte
@@ -386,10 +385,12 @@ impl DurableLog {
     }
 
     /// Replays the per-shard projection for a respawning worker:
-    /// every record tagged `shard` still present in the log, paired
-    /// Begin/Commit. Holds the append lock for the duration so the
-    /// scan never races a concurrent writer mid-frame.
-    pub fn replay_shard(&self, shard: u32) -> Result<WalReplay, StorageError> {
+    /// every record tagged `shard` with an LSN of at least `from_lsn`
+    /// (the first LSN its checkpointed base does not cover) still
+    /// present in the log, paired Begin/Commit. Holds the append lock
+    /// for the duration so the scan never races a concurrent writer
+    /// mid-frame.
+    pub fn replay_shard(&self, shard: u32, from_lsn: u64) -> Result<WalReplay, StorageError> {
         let inner = self.inner.lock();
         let mut records = Vec::new();
         let last = inner.segments.len() - 1;
@@ -417,10 +418,9 @@ impl DurableLog {
                     detail: "truncated non-final segment".into(),
                 });
             }
-            for &(_, body) in &scan.frames {
+            for (lsn, &(_, body)) in (seg.start_lsn..).zip(&scan.frames) {
                 let mut r = WireReader::new(body);
-                let tag = r.u32()?;
-                if tag == shard {
+                if r.u32()? == shard && lsn >= from_lsn {
                     records.push(WalRecord::decode(&mut r)?);
                 }
             }
@@ -544,8 +544,11 @@ mod tests {
             log.append(0, &commit(i)).unwrap();
         }
         assert!(log.segment_count() > 2, "tiny cap must force rotation");
-        let replay = log.replay_shard(0).unwrap();
+        let replay = log.replay_shard(0, 0).unwrap();
         assert_eq!(replay.committed.len(), 10);
+        // A checkpointed base covering the first five requests resumes
+        // replay at lsn 10.
+        assert_eq!(log.replay_shard(0, 10).unwrap().committed.len(), 5);
         // Every non-final segment must be fully durable (sealed).
         let (_, recovered) = open(&sim, SyncPolicy::Always, 64);
         assert_eq!(recovered.records.len(), 20);

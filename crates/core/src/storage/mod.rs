@@ -1,10 +1,10 @@
-//! The durable storage tier (DESIGN.md §14): an on-disk write-ahead
+//! The storage tier (DESIGN.md §14): the service's one write-ahead
 //! log with checkpoints, log compaction and cold-start recovery.
 //!
-//! The in-memory shard journal ([`crate::wal`]) already gives the MA
-//! exactly-once semantics across *worker* crashes; this tier extends
-//! the same records, framing and replay discipline to *process*
-//! crashes, layered as:
+//! The journal records ([`crate::wal`]) give the MA exactly-once
+//! semantics across *worker* crashes; over storage that outlives the
+//! process, the same records, framing and replay discipline cover
+//! *process* crashes too. The layers:
 //!
 //! * [`backend`] — the byte-level [`Storage`] contract plus disk,
 //!   simulated-with-durability-watermark and fault-injecting

@@ -102,3 +102,95 @@ pub mod harness {
         *outcome
     }
 }
+
+/// Drain-formation helpers shared by the batching tests in
+/// `tests/transport_equivalence.rs` and `tests/chaos.rs`. A shard
+/// worker takes everything already queued when it drains, so requests
+/// sent while it verifies one slow deposit reach it as one batch — no
+/// timer involved.
+pub mod batching {
+    use ppms_core::service::{MaRequest, MaResponse, MaService};
+    use ppms_core::{next_request_id, AccountId};
+    use ppms_crypto::cl::ClKeyPair;
+    use ppms_ecash::{Coin, NodePath};
+    use rand::rngs::StdRng;
+
+    /// Spends in a [`blocker`] deposit: transcripts over one coin's
+    /// four leaves at L = 2, so four credit and the rest are double
+    /// spends. Verifying them keeps a shard busy for milliseconds.
+    pub const BLOCKER_SPENDS: usize = 24;
+
+    /// Opens an SP account and withdraws one coin through a fresh JO
+    /// (three requests).
+    pub fn account_and_coin(svc: &MaService, rng: &mut StdRng) -> (AccountId, Coin) {
+        let client = svc.client();
+        let MaResponse::Account(account) = client.call(MaRequest::RegisterSpAccount) else {
+            panic!("sp account");
+        };
+        let cl = ClKeyPair::generate(rng, &svc.pairing);
+        let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
+            funds: 50,
+            clpk: cl.public.clone(),
+        }) else {
+            panic!("jo account");
+        };
+        let mut coin = Coin::mint(rng, &svc.params);
+        let (blinded, factor) = coin.blind_token(rng, &svc.bank_pk);
+        let auth = cl.sign_bytes(rng, &svc.pairing, &1u64.to_be_bytes());
+        let MaResponse::BlindSignature(sig) = client.call(MaRequest::Withdraw {
+            account: jo,
+            nonce: 1,
+            auth,
+            blinded,
+        }) else {
+            panic!("withdraw");
+        };
+        assert!(coin.attach_signature(&svc.bank_pk, &sig, &factor));
+        (account, coin)
+    }
+
+    /// A slow deposit of [`BLOCKER_SPENDS`] spends into a fresh account
+    /// (three setup requests; the service must run at L = 2).
+    pub fn blocker(svc: &MaService, rng: &mut StdRng) -> MaRequest {
+        let (account, coin) = account_and_coin(svc, rng);
+        MaRequest::DepositBatch {
+            account,
+            spends: (0..BLOCKER_SPENDS)
+                .map(|i| {
+                    coin.spend(
+                        rng,
+                        &svc.params,
+                        &NodePath::from_index(2, i as u64 % 4),
+                        b"",
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    /// Sends `blocker` to a one-shard service and, once the shard has
+    /// started executing it, runs `f`: whatever `f` sends in the
+    /// meantime queues behind the blocker, and the shard's next drain
+    /// takes it together. Returns `f`'s result after checking the
+    /// blocker's reply.
+    pub fn while_busy<T>(svc: &MaService, blocker: MaRequest, f: impl FnOnce() -> T) -> T {
+        // The shard counts a dedup miss as it starts executing a
+        // request.
+        let misses = svc.obs.counter("ma.dedup.misses");
+        let before = misses.get();
+        std::thread::scope(|scope| {
+            let client = svc.client();
+            let blocked = scope.spawn(move || client.try_call_keyed(next_request_id(), blocker));
+            while misses.get() == before {
+                std::thread::yield_now();
+            }
+            let out = f();
+            let resp = blocked.join().expect("blocker thread");
+            assert!(
+                matches!(resp, Ok(MaResponse::BatchDeposited { accepted: 4, .. })),
+                "blocker reply: {resp:?}"
+            );
+            out
+        })
+    }
+}

@@ -27,7 +27,7 @@ cargo test -p ppms-obs --features no-op -q
 echo "==> observability layer (registry, histograms, percentile accuracy, merge laws)"
 cargo test -p ppms-obs -q
 
-echo "==> wire protocol property tests (v3 + legacy v2 frames, split reassembly)"
+echo "==> wire protocol property tests (v4 frames, foreign versions refused, split reassembly)"
 cargo test -p ppms-core --test wire_props -q
 cargo test -p ppms-core --features no-op --test wire_props -q
 
@@ -35,8 +35,9 @@ echo "==> tcp front door (admission gate, eviction, shedding) + transport equiva
 # Both feature configs: the reactor leans on obs counters for its
 # shed/evict decisions' observability, so the no-op build must drive
 # the same loopback sockets. transport_equivalence includes the
-# batching-equivalence harness: batched concurrent interleavings
-# (cheater + same-key retransmit in-batch) ≡ sequential ledgers.
+# batching-equivalence harness: concurrent interleavings queued behind
+# a slow deposit (cheater + same-key retransmit in-batch) ≡ sequential
+# ledgers.
 cargo test -p ppms-integration --test tcp_front_door --test transport_equivalence -q
 cargo test -p ppms-integration --features no-op --test tcp_front_door --test transport_equivalence -q
 
@@ -68,8 +69,9 @@ cargo bench -p ppms-bench --features no-op --bench recovery -- --test >/dev/null
 
 echo "==> open-loop load harness smoke (latency accounting + batching + ledger gates)"
 # Both feature configs; the default-config output is additionally
-# grepped: cross-client batching must actually engage (mean batch
-# size > 1 under load) and the ledger-conservation line must hold.
+# grepped: greedy draining must still form batches at saturation
+# (mean batch size > 1 under load) and the ledger-conservation line
+# must hold.
 load_out=$(cargo bench -p ppms-bench --bench load_curve -- --test 2>&1) || {
     echo "$load_out"
     exit 1
@@ -144,6 +146,16 @@ cargo bench -p ppms-bench --features no-op --bench batch_verify -- --test >/dev/
 echo "==> fixed-width ablation bench smoke (fixed = dynamic verdicts)"
 cargo bench -p ppms-bench --bench ablation_fixed -- --test >/dev/null
 cargo bench -p ppms-bench --features no-op --bench ablation_fixed -- --test >/dev/null
+
+echo "==> market benchmark: its own tests + a 2 s smoke of each workload"
+# The benchmark builds against the program's API, so an API change
+# that breaks it fails here. Runs under 30 s write to
+# marketbench/out/smoke/, never to the canonical results.
+cargo test --release --offline --manifest-path marketbench/Cargo.toml -q
+for workload in dec_market door_mix pbs_market; do
+    cargo run --release --offline --quiet --manifest-path marketbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
+done
 
 echo "==> cargo test"
 cargo test --workspace -q

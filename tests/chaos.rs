@@ -5,13 +5,12 @@
 //! conservation invariant is equality with the in-process baseline,
 //! not merely "no error".
 
-use ppms_core::service::{
-    BatchConfig, MaRequest, MaResponse, MaService, MidBatchCrash, ServiceConfig,
-};
+use ppms_core::service::{MaRequest, MaResponse, MaService, MidBatchCrash, ServiceConfig};
 use ppms_core::sim::run_service_market_chaos;
 use ppms_core::{next_request_id, CrashPoint};
 use ppms_crypto::cl::ClKeyPair;
 use ppms_ecash::{Coin, DecParams, NodePath};
+use ppms_integration::batching::{account_and_coin, blocker, while_busy};
 use ppms_integration::harness::{baseline, plan, N_SPS, SEED, W};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -298,7 +297,7 @@ fn retried_batch_deposit_survives_crash_and_replays_one_outcome() {
 fn mid_batch_crash_between_verify_and_group_commit_converges() {
     // The batching pipeline's canonical torn window (DESIGN.md §16):
     // the shard dies *after* journaling a deposit's Commit but
-    // *before* the batch's group commit and before any held reply in
+    // *before* the drain's group commit and before any held reply in
     // that cross-client batch is released. Every client whose item
     // rode the doomed batch sees a hung-up connection; their retries
     // under the same keys must converge without losing or
@@ -330,85 +329,64 @@ fn mid_batch_crash_between_verify_and_group_commit_converges() {
         40,
         ServiceConfig {
             shards: 1,
-            batch: BatchConfig {
-                max_batch: 8,
-                max_delay_micros: 2000,
-            },
-            // Setup journals 6 Begins (2 clients x SP + JO + Withdraw);
-            // the crash fires on the Commit of the *second* deposit —
-            // mid-batch whenever the concurrent depositors share a
-            // drain.
+            // Setup journals 9 Begins (the blocker's and two
+            // depositors' SP + JO + Withdraw) and the blocker deposit
+            // is the 10th. The depositors' first items queue behind it
+            // and share the next drain; the crash fires on the Commit
+            // of that drain's first item.
             crash_mid_batch: Some(MidBatchCrash {
                 shard: 0,
-                at_begin: 8,
+                at_begin: 11,
             }),
             ..ServiceConfig::default()
         },
     );
 
+    let blocker = blocker(&svc, &mut rng);
     // Two depositors, each with a coin and two unique leaves.
-    let mut wallets = Vec::new();
-    for _ in 0..2 {
-        let client = svc.client();
-        let MaResponse::Account(sp) = client.call(MaRequest::RegisterSpAccount) else {
-            panic!("sp account");
-        };
-        let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
-        let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
-            funds: 50,
-            clpk: cl.public.clone(),
-        }) else {
-            panic!("jo account");
-        };
-        let mut coin = Coin::mint(&mut rng, &svc.params);
-        let (blinded, factor) = coin.blind_token(&mut rng, &svc.bank_pk);
-        let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
-        let MaResponse::BlindSignature(sig) = client.call(MaRequest::Withdraw {
-            account: jo,
-            nonce: 1,
-            auth,
-            blinded,
-        }) else {
-            panic!("withdraw");
-        };
-        assert!(coin.attach_signature(&svc.bank_pk, &sig, &factor));
-        let spends: Vec<_> = (0..2)
-            .map(|l| coin.spend(&mut rng, &svc.params, &NodePath::from_index(2, l), b""))
-            .collect();
-        wallets.push((sp, spends));
-    }
+    let wallets: Vec<_> = (0..2)
+        .map(|_| {
+            let (sp, coin) = account_and_coin(&svc, &mut rng);
+            let spends: Vec<_> = (0..2)
+                .map(|l| coin.spend(&mut rng, &svc.params, &NodePath::from_index(2, l), b""))
+                .collect();
+            (sp, spends)
+        })
+        .collect();
 
     let errors = AtomicU64::new(0);
     let accounts: Vec<_> = wallets.iter().map(|(sp, _)| *sp).collect();
     let start = Arc::new(Barrier::new(wallets.len()));
-    std::thread::scope(|scope| {
-        for (sp, spends) in wallets {
-            let svc = &svc;
-            let errors = &errors;
-            let start = start.clone();
-            scope.spawn(move || {
-                let client = svc.client();
-                start.wait();
-                for spend in spends {
-                    let resp = call_retry(
-                        &client,
-                        next_request_id(),
-                        MaRequest::DepositBatch {
-                            account: sp,
-                            spends: vec![spend],
-                        },
-                        errors,
-                    );
-                    let MaResponse::BatchDeposited {
-                        accepted, rejected, ..
-                    } = resp
-                    else {
-                        panic!("deposit reply: {resp:?}");
-                    };
-                    assert_eq!((accepted, rejected), (1, 0));
-                }
-            });
-        }
+    while_busy(&svc, blocker, || {
+        std::thread::scope(|scope| {
+            for (sp, spends) in wallets {
+                let svc = &svc;
+                let errors = &errors;
+                let start = start.clone();
+                scope.spawn(move || {
+                    let client = svc.client();
+                    start.wait();
+                    for spend in spends {
+                        let resp = call_retry(
+                            &client,
+                            next_request_id(),
+                            MaRequest::DepositBatch {
+                                account: sp,
+                                spends: vec![spend],
+                            },
+                            errors,
+                        );
+                        let MaResponse::BatchDeposited {
+                            accepted, rejected, ..
+                        } = resp
+                        else {
+                            panic!("deposit reply: {resp:?}");
+                        };
+                        assert_eq!((accepted, rejected), (1, 0));
+                    }
+                });
+            }
+        })
     });
 
     // The crash must actually have fired and hung up at least one

@@ -369,6 +369,126 @@ fn disk_backed_front_door_survives_restart() {
     std::fs::remove_dir_all(&dir).expect("scratch cleanup");
 }
 
+#[test]
+fn scheduled_checkpoints_under_door_traffic_recover_the_acknowledged_ledger() {
+    // Regression: a checkpoint used to barrier the shards one at a
+    // time while the TCP reactor kept routing requests straight into
+    // the shard queues, so a request's Begin could fall before the
+    // covered LSN and its Commit after it (recovery then refused the
+    // log with "commit without begin"), and a shard's projection could
+    // miss records below the cut. Two shards, a checkpoint every 32
+    // records, two door clients depositing and registering while an
+    // in-process client writes through the dispatcher: the crash image
+    // must recover the acknowledged ledger and every job's labor list.
+    use ppms_ecash::NodePath;
+    use ppms_integration::batching::account_and_coin;
+    use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const COINS: usize = 4;
+    const LEAVES: usize = 8; // the durable fixture runs at L = 3
+    let seed = 0xC4EC;
+    let storage = SimStorage::new();
+    let mut dur = DurabilityConfig::new(Arc::new(storage.clone()));
+    dur.checkpoint_every = 32;
+    let svc = spawn_durable_market(seed, 2, dur.clone()).expect("durable spawn");
+    let mut door =
+        TcpFrontDoor::spawn(&svc, "127.0.0.1:0", TcpConfig::default()).expect("front door");
+    let inproc = svc.client();
+    let jobs: Vec<u64> = (0..4u8)
+        .map(|i| {
+            let MaResponse::JobId(job) = inproc.call(MaRequest::PublishJob {
+                description: format!("job {i}"),
+                payment: 1,
+                pseudonym: vec![i],
+            }) else {
+                panic!("publish");
+            };
+            job
+        })
+        .collect();
+    // Per door client: an SP account and every leaf of COINS coins.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let depositors: Vec<_> = (0..2)
+        .map(|_| {
+            let mut account = None;
+            let mut spends = Vec::new();
+            for _ in 0..COINS {
+                let (sp, coin) = account_and_coin(&svc, &mut rng);
+                account.get_or_insert(sp);
+                spends.extend((0..LEAVES as u64).map(|leaf| {
+                    coin.spend(&mut rng, &svc.params, &NodePath::from_index(3, leaf), b"")
+                }));
+            }
+            (account.expect("an account"), spends)
+        })
+        .collect();
+    let mut wallets = mint_admission_spends(&svc, seed, 16).expect("admission wallets");
+    let wallets = [wallets.split_off(8), wallets];
+
+    let door_clients_done = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for (c, (wallet, (account, spends))) in wallets.into_iter().zip(depositors).enumerate() {
+            let (addr, jobs, done) = (door.addr(), &jobs, &door_clients_done);
+            scope.spawn(move || {
+                let transport = Arc::new(TcpTransport::new(TcpClientConfig::new(addr)));
+                transport.load_wallet(wallet);
+                let client = MaClient::new(transport as Arc<dyn Transport>, Party::Sp);
+                for (i, spend) in spends.into_iter().enumerate() {
+                    let resp = client.call(MaRequest::DepositBatch {
+                        account,
+                        spends: vec![spend],
+                    });
+                    assert!(
+                        matches!(resp, MaResponse::BatchDeposited { accepted: 1, .. }),
+                        "{resp:?}"
+                    );
+                    let resp = client.call(MaRequest::RegisterSpAccount);
+                    assert!(matches!(resp, MaResponse::Account(_)), "{resp:?}");
+                    let resp = client.call(MaRequest::LaborRegister {
+                        job_id: jobs[i % jobs.len()],
+                        sp_pubkey: vec![c as u8, i as u8],
+                    });
+                    assert!(matches!(resp, MaResponse::Ok), "{resp:?}");
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let (inproc, done) = (&inproc, &door_clients_done);
+        scope.spawn(move || {
+            while done.load(Ordering::SeqCst) < 2 {
+                let resp = inproc.call(MaRequest::RegisterSpAccount);
+                assert!(matches!(resp, MaResponse::Account(_)), "{resp:?}");
+            }
+        });
+    });
+    assert!(
+        svc.faults.wal_snapshots() >= 2,
+        "scheduled checkpoints must have run under the traffic"
+    );
+    let labor = |client: &MaClient| -> Vec<Vec<Vec<u8>>> {
+        jobs.iter()
+            .map(|&job_id| {
+                let MaResponse::Labor(keys) = client.call(MaRequest::FetchLabor { job_id }) else {
+                    panic!("labor");
+                };
+                keys
+            })
+            .collect()
+    };
+    let acknowledged = (svc.bank.snapshot(), labor(&inproc));
+    door.shutdown();
+    let image = storage.crash_image(seed);
+    svc.shutdown();
+
+    let mut recov = dur;
+    recov.storage = Arc::new(image);
+    let (svc, _report) =
+        recover_durable_market(seed, 2, recov).expect("the crash image must recover");
+    assert_eq!((svc.bank.snapshot(), labor(&svc.client())), acknowledged);
+    svc.shutdown();
+}
+
 /// Satellite of the causal-span work: the span context persisted into
 /// each `WalRecord::Begin` survives the crash, so recovery replay
 /// re-attributes every replayed entry to the *originating* trace id —

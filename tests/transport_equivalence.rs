@@ -87,33 +87,10 @@ fn tcp_over_flaky_loopback_behind_retry_converges() {
                 seed: 0xF1AC,
             }),
             retry: true,
-            ..TcpEquivConfig::default()
         }),
         2,
     );
     assert_eq!(expected, flaky);
-}
-
-// Mixed-version interop at the market level: a fleet of clients
-// pinned to the previous wire versions (v3 carries the trace id but
-// no span ids; legacy v2 not even the trace id) drives the same
-// market through the v4 front door. Degraded observability must be
-// the *only* difference — the audited ledger stays identical.
-#[test]
-fn older_wire_version_clients_produce_identical_ledgers() {
-    use ppms_core::wire::{WIRE_VERSION_V2, WIRE_VERSION_V3};
-
-    let expected = run(TransportKind::InProc, 2);
-    for version in [WIRE_VERSION_V3, WIRE_VERSION_V2] {
-        let outcome = run(
-            TransportKind::Tcp(TcpEquivConfig {
-                wire_version: Some(version),
-                ..TcpEquivConfig::default()
-            }),
-            2,
-        );
-        assert_eq!(expected, outcome, "v{version} clients vs v4 server");
-    }
 }
 
 #[test]
@@ -173,19 +150,20 @@ fn simnet_drop_surfaces_as_transport_error() {
 // Batched pipeline ≡ sequential pipeline (DESIGN.md §16)
 // ---------------------------------------------------------------------------
 //
-// Cross-client batching is a scheduling optimisation, not a semantic
-// one: for any interleaving of concurrent depositors — including a
-// cheater whose tampered spend poisons the combined verification (the
-// bisection fallback must isolate it) and a client that retransmits
+// A shard worker executes whatever is queued when it drains — one
+// request, or many from different clients — and group-commits the
+// lot. That is a scheduling choice, not a semantic one: for any
+// interleaving of concurrent depositors — including a cheater whose
+// tampered spend fails verification and a client that retransmits
 // the same keyed request so both copies can land in one drain — the
-// final ledger must equal what a strictly sequential, batching-free
-// service produces for the same logical operations.
+// final ledger must equal what a strictly sequential driver produces
+// for the same logical operations on the same service configuration.
 
 mod batching_equivalence {
     use ppms_core::next_request_id;
-    use ppms_core::service::{BatchConfig, MaRequest, MaResponse, MaService, ServiceConfig};
-    use ppms_crypto::cl::ClKeyPair;
-    use ppms_ecash::{Coin, DecParams, NodePath, Spend};
+    use ppms_core::service::{MaRequest, MaResponse, MaService, ServiceConfig};
+    use ppms_ecash::{DecParams, NodePath, Spend};
+    use ppms_integration::batching::{account_and_coin, blocker, while_busy};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -198,8 +176,8 @@ mod batching_equivalence {
         /// Unique valid spends, one deposit request each.
         spends: Vec<Spend>,
         /// A structurally invalid spend (tampered bank signature):
-        /// `Some` only for the cheater. Fails the combined batch
-        /// verification, forcing the bisection fallback.
+        /// `Some` only for the cheater. Fails verification, and must
+        /// not poison its batch neighbours.
         tampered: Option<Spend>,
         /// A fresh transcript over an already-deposited leaf: `Some`
         /// only for the cheater. Valid proof, reused serial — caught
@@ -208,41 +186,21 @@ mod batching_equivalence {
     }
 
     /// Registers accounts, withdraws one coin per client and pre-signs
-    /// every spend, so the deposit phase is pure service traffic.
+    /// every spend, so the deposit phase is pure service traffic. Also
+    /// builds the blocker deposit the schedule starts with.
     fn build_plans(
         svc: &MaService,
         seed: u64,
         leaves: &[usize],
         cheater: usize,
-    ) -> Vec<ClientPlan> {
-        let client = svc.client();
+    ) -> (MaRequest, Vec<ClientPlan>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        leaves
+        let blocker = blocker(svc, &mut rng);
+        let plans = leaves
             .iter()
             .enumerate()
             .map(|(i, &n)| {
-                let MaResponse::Account(account) = client.call(MaRequest::RegisterSpAccount) else {
-                    panic!("sp account");
-                };
-                let cl = ClKeyPair::generate(&mut rng, &svc.pairing);
-                let MaResponse::Account(jo) = client.call(MaRequest::RegisterJoAccount {
-                    funds: 50,
-                    clpk: cl.public.clone(),
-                }) else {
-                    panic!("jo account");
-                };
-                let mut coin = Coin::mint(&mut rng, &svc.params);
-                let (blinded, factor) = coin.blind_token(&mut rng, &svc.bank_pk);
-                let auth = cl.sign_bytes(&mut rng, &svc.pairing, &1u64.to_be_bytes());
-                let MaResponse::BlindSignature(sig) = client.call(MaRequest::Withdraw {
-                    account: jo,
-                    nonce: 1,
-                    auth,
-                    blinded,
-                }) else {
-                    panic!("withdraw");
-                };
-                assert!(coin.attach_signature(&svc.bank_pk, &sig, &factor));
+                let (account, coin) = account_and_coin(svc, &mut rng);
                 let spends: Vec<Spend> = (0..n)
                     .map(|l| {
                         coin.spend(
@@ -269,16 +227,16 @@ mod batching_equivalence {
                     reused_leaf,
                 }
             })
-            .collect()
+            .collect();
+        (blocker, plans)
     }
 
     /// Plays one client's deposits. Every item is a single-spend
     /// `DepositBatch` under a fresh idempotency key, so in the
     /// concurrent run the shard's drain mixes items from different
     /// clients into one cross-client batch. The first deposit is also
-    /// retransmitted under the *same* key from a second thread released
-    /// by the same barrier, so the duplicate can share a drain with the
-    /// original.
+    /// retransmitted under the *same* key from a second thread, so the
+    /// duplicate can share a drain with the original.
     fn play(svc: &MaService, plan: ClientPlan, stagger_micros: u64, start: Option<Arc<Barrier>>) {
         let client = svc.client();
         let mut retrans: Option<std::thread::JoinHandle<()>> = None;
@@ -351,14 +309,17 @@ mod batching_equivalence {
         }
     }
 
-    /// Runs the logical schedule and returns the final per-client
-    /// balances plus the `(batch.items, batch.drains)` deltas of the
-    /// deposit phase.
+    /// Runs the logical schedule — the blocker deposit, then every
+    /// client's deposits — and returns the final per-client balances
+    /// plus the `(batch.items, batch.drains)` deltas of the deposit
+    /// phase. The sequential driver sends one request at a time. The
+    /// concurrent one releases the clients while the shard is still
+    /// verifying the blocker, so their first requests queue behind it
+    /// and the next drain takes them together.
     fn run_schedule(
         seed: u64,
         leaves: &[usize],
         cheater: usize,
-        batch: BatchConfig,
         concurrent: bool,
         staggers: &[u64],
     ) -> (Vec<u64>, u64, u64) {
@@ -370,26 +331,28 @@ mod batching_equivalence {
             40,
             ServiceConfig {
                 shards: 1,
-                batch,
                 ..ServiceConfig::default()
             },
         );
-        let plans = build_plans(&svc, seed ^ 0x5EED, leaves, cheater);
+        let (blocker, plans) = build_plans(&svc, seed ^ 0x5EED, leaves, cheater);
         let accounts: Vec<_> = plans.iter().map(|p| p.account).collect();
         let items0 = svc.obs.counter("batch.items").get();
         let drains0 = svc.obs.counter("batch.drains").get();
 
         if concurrent {
             let start = Arc::new(Barrier::new(plans.len()));
-            std::thread::scope(|scope| {
-                for (i, plan) in plans.into_iter().enumerate() {
-                    let svc = &svc;
-                    let stagger = staggers[i % staggers.len()];
-                    let start = start.clone();
-                    scope.spawn(move || play(svc, plan, stagger, Some(start)));
-                }
+            while_busy(&svc, blocker, || {
+                std::thread::scope(|scope| {
+                    for (i, plan) in plans.into_iter().enumerate() {
+                        let svc = &svc;
+                        let stagger = staggers[i % staggers.len()];
+                        let start = start.clone();
+                        scope.spawn(move || play(svc, plan, stagger, Some(start)));
+                    }
+                })
             });
         } else {
+            while_busy(&svc, blocker, || {});
             for (i, plan) in plans.into_iter().enumerate() {
                 play(&svc, plan, staggers[i % staggers.len()], None);
             }
@@ -411,36 +374,16 @@ mod batching_equivalence {
         (balances, items, drains)
     }
 
-    /// Deterministic anchor: a concurrent run against the batching
-    /// service must form at least one genuine cross-client batch
-    /// (items > drains) and still land on the sequential ledger.
+    /// Deterministic anchor: the concurrent run must form at least one
+    /// genuine cross-client batch (items > drains) and still land on
+    /// the sequential ledger.
     #[test]
     fn concurrent_batched_run_matches_sequential_and_actually_batches() {
         let leaves = [2usize, 2, 2];
         let cheater = 1;
         let staggers = [0u64, 40, 80];
-        let (seq, _, _) = run_schedule(
-            0xBA7C,
-            &leaves,
-            cheater,
-            BatchConfig {
-                max_batch: 1,
-                max_delay_micros: 0,
-            },
-            false,
-            &staggers,
-        );
-        let (bat, items, drains) = run_schedule(
-            0xBA7C,
-            &leaves,
-            cheater,
-            BatchConfig {
-                max_batch: 8,
-                max_delay_micros: 2000,
-            },
-            true,
-            &staggers,
-        );
+        let (seq, _, _) = run_schedule(0xBA7C, &leaves, cheater, false, &staggers);
+        let (bat, items, drains) = run_schedule(0xBA7C, &leaves, cheater, true, &staggers);
         assert_eq!(seq, bat, "batched ledger diverged from sequential");
         assert_eq!(bat, vec![2, 2, 2], "each unique valid leaf credits once");
         assert!(
@@ -453,9 +396,9 @@ mod batching_equivalence {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
         // For arbitrary client counts, per-client workloads, cheater
-        // position and thread staggering, the batched concurrent run
-        // and the batching-free sequential run agree with each other
-        // and with the closed-form expectation.
+        // position and thread staggering, the concurrent run and the
+        // sequential run agree with each other and with the
+        // closed-form expectation.
         #[test]
         fn batched_pipeline_is_ledger_equivalent_to_sequential(
             seed in 0u64..(1 << 48),
@@ -464,22 +407,8 @@ mod batching_equivalence {
             staggers in proptest::collection::vec(0u64..200, 4),
         ) {
             let cheater = cheater_pick % leaves.len();
-            let seq = run_schedule(
-                seed,
-                &leaves,
-                cheater,
-                BatchConfig { max_batch: 1, max_delay_micros: 0 },
-                false,
-                &staggers,
-            );
-            let bat = run_schedule(
-                seed,
-                &leaves,
-                cheater,
-                BatchConfig { max_batch: 8, max_delay_micros: 2000 },
-                true,
-                &staggers,
-            );
+            let seq = run_schedule(seed, &leaves, cheater, false, &staggers);
+            let bat = run_schedule(seed, &leaves, cheater, true, &staggers);
             prop_assert_eq!(&seq.0, &bat.0, "batched vs sequential ledgers");
             let expected: Vec<u64> = leaves.iter().map(|&l| l as u64).collect();
             prop_assert_eq!(bat.0, expected, "each unique valid leaf credits exactly once");
