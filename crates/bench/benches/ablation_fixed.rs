@@ -5,7 +5,7 @@
 //! Straus↔Pippenger crossover re-measured on the fixed kernels (the
 //! Vec-path table put it near n≈128 full-width / n≈150 small-exponent —
 //! `pick_bucketed` in `ring.rs` is tuned from this bench's table).
-//! Emits `BENCH_fixed.json` at the repo root (EXPERIMENTS.md A12).
+//! Emits `BENCH_fixed.json` at the repo root on a full run (EXPERIMENTS.md A12).
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench ablation_fixed           # full run
@@ -185,12 +185,7 @@ fn main() {
         op_cells.join(",\n"),
         x_cells.join(",\n")
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_fixed.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_fixed.json]"),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    ppms_bench::write_bench_artifact("BENCH_fixed.json", &json);
 
     if !smoke {
         // Acceptance: the fixed-width path must beat the dynamic path

@@ -3,7 +3,7 @@
 //! at batch sizes 1/4/16/64, for Schnorr proofs, RSA-FDH signatures
 //! and full e-cash spend deposits, plus a Straus-vs-Pippenger
 //! crossover table for the underlying multi-exponentiation kernel.
-//! Emits `BENCH_batch.json` at the repo root (EXPERIMENTS.md A11).
+//! Emits `BENCH_batch.json` at the repo root on a full run (EXPERIMENTS.md A11).
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench batch_verify          # full run
@@ -259,12 +259,7 @@ fn main() {
         batch_cells.join(",\n"),
         x_cells.join(",\n")
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_batch.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_batch.json]"),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    ppms_bench::write_bench_artifact("BENCH_batch.json", &json);
 
     if !smoke {
         // Acceptance: at a deployment-grade group the combined check

@@ -2,7 +2,7 @@
 //! frame-drop rates (plus mild duplication) with the retrying clients,
 //! and reports availability (fraction of runs that converge to the
 //! fault-free ledger) and the latency the retry layer adds. Emits
-//! `BENCH_chaos.json` at the repo root (EXPERIMENTS.md A9).
+//! `BENCH_chaos.json` at the repo root on a full run (EXPERIMENTS.md A9).
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench chaos_availability
@@ -98,15 +98,7 @@ fn main() {
         })
         .collect();
     let json = format!("[\n{}\n]\n", cells.join(",\n"));
-    // `cargo bench` runs with the package dir as cwd; anchor the
-    // artifact at the repo root, where it is committed alongside the
-    // code it measures.
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_chaos.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_chaos.json]"),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    ppms_bench::write_bench_artifact("BENCH_chaos.json", &json);
 
     assert!(
         rows.iter().all(|r| r.availability == 1.0),

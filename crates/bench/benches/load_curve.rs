@@ -7,7 +7,7 @@
 //! mid-run scrape of the admission-exempt ops plane proves the live
 //! metrics path works while the door is under load. The per-rate mean
 //! shard drain size comes from the service registry's `batch.items` and
-//! `batch.drains` counters, deltaed around each run. Emits `BENCH_load.json` at the repo root (EXPERIMENTS.md A15,
+//! `batch.drains` counters, deltaed around each run. Emits `BENCH_load.json` at the repo root on a full run (EXPERIMENTS.md A15,
 //! A16).
 //!
 //! ```text
@@ -408,14 +408,7 @@ fn main() {
         rate_cells.join(",\n"),
         metrics.len()
     );
-    // Benchmark artifacts live at the repo root, committed alongside
-    // the code they measure, so a diff shows the perf delta.
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_load.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_load.json]"),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    ppms_bench::write_bench_artifact("BENCH_load.json", &json);
 
     // Correctness gates (the `-- --test` smoke relies on these).
     for r in &results {

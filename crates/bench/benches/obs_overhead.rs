@@ -2,7 +2,7 @@
 //! the `ppms-obs` layer recording (the default) and with it disabled
 //! at runtime (`set_enabled(false)` — the same cheap check the `no-op`
 //! feature compiles away entirely), and reports the relative cost of
-//! instrumentation. Emits `BENCH_obs.json` at the repo root
+//! instrumentation. Emits `BENCH_obs.json` at the repo root on a full run
 //! (EXPERIMENTS.md A10).
 //!
 //! ```text
@@ -128,12 +128,7 @@ fn main() {
         })
         .collect();
     let json = format!("[\n{}\n]\n", cells.join(",\n"));
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_obs.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_obs.json]"),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    ppms_bench::write_bench_artifact("BENCH_obs.json", &json);
 
     // Acceptance: instrumented runs stay within 3% of the disabled
     // path. The spans live on millisecond-scale crypto operations, so

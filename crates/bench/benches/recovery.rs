@@ -1,7 +1,7 @@
 //! Durable-tier recovery: cold-start latency versus log length with
 //! and without a checkpoint (the compaction payoff), plus the
 //! write-path cost of each fsync discipline over the same keyed
-//! market schedule. Emits `BENCH_recovery.json` at the repo root
+//! market schedule. Emits `BENCH_recovery.json` at the repo root on a full run
 //! (EXPERIMENTS.md A14).
 //!
 //! ```text
@@ -193,12 +193,7 @@ fn main() {
         recovery_cells.join(",\n"),
         fsync_cells.join(",\n")
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_recovery.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_recovery.json]"),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    ppms_bench::write_bench_artifact("BENCH_recovery.json", &json);
 
     // Correctness gates (the `-- --test` smoke relies on these).
     for pair in recovery_rows.chunks(2) {

@@ -1,7 +1,7 @@
 //! TCP front door: loopback throughput/latency through the reactor
 //! and the admission gate, plus the Table-II-style framing overhead
 //! of the socket path measured against the simnet wire. Emits
-//! `BENCH_tcp.json` at the repo root (EXPERIMENTS.md A13).
+//! `BENCH_tcp.json` at the repo root on a full run (EXPERIMENTS.md A13).
 //!
 //! ```text
 //! cargo bench -p ppms-bench --bench tcp_front_door
@@ -185,12 +185,7 @@ fn main() {
          \"tcp_overhead_pct\": {overhead:.2}\n}}\n",
         table_cells.join(",\n")
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{dir}/BENCH_tcp.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json -> BENCH_tcp.json]"),
-        Err(e) => eprintln!("  [json write failed: {e}]"),
-    }
+    ppms_bench::write_bench_artifact("BENCH_tcp.json", &json);
 
     // Correctness gates (the `-- --test` smoke relies on these).
     assert!(rps > 0.0);

@@ -29,6 +29,25 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// Writes a bench binary's `BENCH_*.json` artifact and prints where.
+/// A full run publishes it at the repository root; a `-- --test` smoke
+/// writes it under `target/report/` instead, so CI smokes never
+/// overwrite the committed artifacts.
+pub fn write_bench_artifact(file: &str, json: &str) {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let smoke = std::env::args().any(|a| a == "--test");
+    let dir = if smoke {
+        format!("{root}/target/report")
+    } else {
+        root.to_string()
+    };
+    let path = format!("{dir}/{file}");
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("  [json -> {path}]"),
+        Err(e) => eprintln!("  [json write to {path} failed: {e}]"),
+    }
+}
+
 /// Standard bench parameters, matching the integration tests:
 /// structurally faithful, sized for quick turnaround.
 pub mod cfg {

@@ -172,6 +172,19 @@ mod tests {
     }
 
     #[test]
+    fn onion_grows_linearly_per_hop() {
+        // Each layer adds one OAEP key block (k = 64 bytes at 512 bits)
+        // and a 32-byte tag, however large the inner onion already is.
+        let mut rng = StdRng::seed_from_u64(7);
+        let msg = [0x42u8; 300];
+        for hops in 1..=4 {
+            let cascade = MixCascade::new(&mut rng, hops, 512);
+            let onion = cascade.build_onion(&mut rng, &msg);
+            assert_eq!(onion.len(), msg.len() + hops * (64 + 32), "{hops} hops");
+        }
+    }
+
+    #[test]
     fn onion_layers_look_independent() {
         // The same message onion-built twice yields different bytes at
         // every layer (OAEP randomness) — no watermarking by content.

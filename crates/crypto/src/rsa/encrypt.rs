@@ -1,11 +1,24 @@
-//! RSA-OAEP encryption (PKCS#1 v2.2 style, SHA-256 + MGF1).
+//! RSA hybrid sealing: an OAEP-wrapped key, an MGF1 keystream and an
+//! HMAC-SHA-256 tag (encrypt-then-MAC).
 //!
 //! The PPMS protocols wrap payments and identity tokens in
-//! `RSA_ENC_rpk(...)`; long payloads (a whole broken-up e-cash bundle)
-//! are chunked across multiple OAEP blocks.
+//! `RSA_ENC_rpk(...)`, one Enc for the sender and one Dec for the
+//! receiver (paper Table I). A whole broken-up e-cash bundle is far
+//! longer than one OAEP block, so [`encrypt`] seals a fresh 16-byte
+//! secret in a single OAEP block and carries the payload under keys
+//! derived from it:
+//!
+//! ```text
+//! kem_block (k bytes) ‖ body (msg.len() bytes) ‖ tag (32 bytes)
+//! body = msg ⊕ MGF1(enc_key)     tag = HMAC(mac_key, kem_block ‖ body)
+//! ```
+//!
+//! The tag covers the whole ciphertext before it, so [`decrypt`]
+//! rejects any reordered, truncated, extended or spliced ciphertext
+//! before it unmasks the body.
 
 use super::{RsaPrivateKey, RsaPublicKey};
-use crate::hash::mgf1;
+use crate::hash::{hash_tagged, hmac_sha256, mgf1};
 use crate::sha256::Sha256;
 use ppms_bigint::BigUint;
 use rand::Rng;
@@ -14,6 +27,12 @@ use rand::Rng;
 /// padding (`2·HLEN + 2` bytes) fits the 512-bit moduli the tests and
 /// the paper-scale benchmarks use.
 const HLEN: usize = 16;
+
+/// Length of the per-message secret sealed in the OAEP block.
+const SECRET_LEN: usize = 16;
+
+/// Length of the HMAC-SHA-256 tag that ends every ciphertext.
+const TAG_LEN: usize = 32;
 
 /// The (truncated) label hash.
 fn lhash() -> [u8; HLEN] {
@@ -28,10 +47,12 @@ pub fn max_block_len(pk: &RsaPublicKey) -> usize {
 /// Errors from decryption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecryptError {
-    /// Ciphertext length is not a multiple of the modulus size.
+    /// Ciphertext is shorter than one OAEP block plus a tag.
     BadLength,
-    /// OAEP padding check failed (tampered or wrong-key ciphertext).
+    /// OAEP padding check failed (tampered or wrong-key key block).
     BadPadding,
+    /// The HMAC tag does not match (tampered, truncated or spliced).
+    BadTag,
 }
 
 impl std::fmt::Display for DecryptError {
@@ -39,6 +60,7 @@ impl std::fmt::Display for DecryptError {
         match self {
             DecryptError::BadLength => write!(f, "ciphertext length mismatch"),
             DecryptError::BadPadding => write!(f, "OAEP padding check failed"),
+            DecryptError::BadTag => write!(f, "authentication tag mismatch"),
         }
     }
 }
@@ -49,6 +71,21 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
     }
+}
+
+/// Compares two tags without an early exit, so the time taken does not
+/// reveal how long a matching prefix a forger found.
+fn tags_equal(a: &[u8], b: &[u8]) -> bool {
+    let diff = a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y));
+    a.len() == b.len() && std::hint::black_box(diff) == 0
+}
+
+/// The keystream key and the MAC key, derived from one sealed secret.
+fn derive_keys(secret: &[u8]) -> ([u8; 32], [u8; 32]) {
+    (
+        hash_tagged("ppms-seal-enc", secret),
+        hash_tagged("ppms-seal-mac", secret),
+    )
 }
 
 /// Encrypts one OAEP block (`msg.len() <= max_block_len`).
@@ -115,40 +152,45 @@ fn decrypt_block(sk: &RsaPrivateKey, block: &[u8]) -> Result<Vec<u8>, DecryptErr
     Ok(rest[sep + 1..].to_vec())
 }
 
-/// Encrypts an arbitrary-length message, chunking across OAEP blocks.
-/// The output length is a multiple of the modulus size; an explicit
-/// 8-byte length header keeps the chunking reversible.
+/// Seals an arbitrary-length message under `pk` with one RSA
+/// operation. The output is `msg.len() + k + 32` bytes for a `k`-byte
+/// modulus.
 pub fn encrypt<R: Rng + ?Sized>(rng: &mut R, pk: &RsaPublicKey, msg: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(8 + msg.len());
-    framed.extend_from_slice(&(msg.len() as u64).to_be_bytes());
-    framed.extend_from_slice(msg);
-    let block_len = max_block_len(pk);
-    let mut out = Vec::new();
-    for chunk in framed.chunks(block_len) {
-        out.extend_from_slice(&encrypt_block(rng, pk, chunk));
-    }
+    let mut secret = [0u8; SECRET_LEN];
+    rng.fill_bytes(&mut secret);
+    let (enc_key, mac_key) = derive_keys(&secret);
+
+    let mut out = encrypt_block(rng, pk, &secret);
+    let body_start = out.len();
+    out.reserve(msg.len() + TAG_LEN);
+    out.extend_from_slice(msg);
+    xor_into(&mut out[body_start..], &mgf1(&enc_key, msg.len()));
+    let tag = hmac_sha256(&mac_key, &out);
+    out.extend_from_slice(&tag);
     out
 }
 
-/// Decrypts a message produced by [`encrypt`].
+/// Opens a ciphertext produced by [`encrypt`]: unwraps the secret with
+/// one RSA-CRT operation, checks the tag over everything before it,
+/// and only then unmasks the body.
 pub fn decrypt(sk: &RsaPrivateKey, ct: &[u8]) -> Result<Vec<u8>, DecryptError> {
     let k = sk.public.size_bytes();
-    if ct.is_empty() || !ct.len().is_multiple_of(k) {
+    if ct.len() < k + TAG_LEN {
         return Err(DecryptError::BadLength);
     }
-    let mut framed = Vec::new();
-    for block in ct.chunks(k) {
-        framed.extend_from_slice(&decrypt_block(sk, block)?);
-    }
-    if framed.len() < 8 {
+    let (sealed, tag) = ct.split_at(ct.len() - TAG_LEN);
+    let (kem_block, body) = sealed.split_at(k);
+    let secret = decrypt_block(sk, kem_block)?;
+    if secret.len() != SECRET_LEN {
         return Err(DecryptError::BadPadding);
     }
-    let len = u64::from_be_bytes(framed[..8].try_into().expect("8 bytes")) as usize;
-    if framed.len() - 8 < len {
-        return Err(DecryptError::BadPadding);
+    let (enc_key, mac_key) = derive_keys(&secret);
+    if !tags_equal(&hmac_sha256(&mac_key, sealed), tag) {
+        return Err(DecryptError::BadTag);
     }
-    framed.truncate(8 + len);
-    Ok(framed.split_off(8))
+    let mut msg = body.to_vec();
+    xor_into(&mut msg, &mgf1(&enc_key, body.len()));
+    Ok(msg)
 }
 
 #[cfg(test)]
@@ -208,7 +250,7 @@ mod tests {
         let key = test_key(20);
         let mut rng = StdRng::seed_from_u64(21);
         let block = max_block_len(&key.public);
-        // Exactly one block of framed payload, one byte less, one more.
+        // Lengths around one OAEP block's capacity all round-trip.
         for len in [block - 8, block - 7, block, 2 * block] {
             let msg = vec![0x5Au8; len];
             let ct = encrypt(&mut rng, &key.public, &msg);

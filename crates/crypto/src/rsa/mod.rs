@@ -1,6 +1,7 @@
 //! RSA: key generation plus the four operations the PPMS protocols
-//! need — OAEP [`encryption`](mod@encrypt), FDH [`signatures`](mod@sign),
-//! Chaum [`blind signatures`](mod@blind) (DEC withdrawal), and
+//! need — hybrid [`sealing`](mod@encrypt) (OAEP-wrapped key, MGF1
+//! keystream, HMAC-SHA-256), FDH [`signatures`](mod@sign), Chaum
+//! [`blind signatures`](mod@blind) (DEC withdrawal), and
 //! [`partially blind signatures`](mod@pbs) (the PPMSpbs digital coin).
 
 pub mod blind;

@@ -69,6 +69,71 @@ proptest! {
     }
 
     #[test]
+    fn seal_rejects_reordered_segments(msg in prop::collection::vec(any::<u8>(), 128..320), seed in any::<u64>(), pick in any::<(u8, u8)>()) {
+        // A holder of the ciphertext must not be able to permute its
+        // k-byte segments: the tag covers the ciphertext as one unit.
+        let key = rsa_key();
+        let k = key.public.size_bytes();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ct = rsa::encrypt(&mut rng, &key.public, &msg);
+        let segments = ct.len() / k;
+        let i = pick.0 as usize % segments;
+        let j = (i + 1 + pick.1 as usize % (segments - 1)) % segments;
+        let mut swapped = ct.clone();
+        let (lo, hi) = (i.min(j) * k, i.max(j) * k);
+        let (head, tail) = swapped.split_at_mut(hi);
+        head[lo..lo + k].swap_with_slice(&mut tail[..k]);
+        if swapped != ct {
+            prop_assert!(rsa::decrypt(key, &swapped).is_err());
+        }
+    }
+
+    #[test]
+    fn seal_rejects_dropped_or_duplicated_segment(msg in prop::collection::vec(any::<u8>(), 64..320), seed in any::<u64>(), pick in any::<u8>()) {
+        let key = rsa_key();
+        let k = key.public.size_bytes();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ct = rsa::encrypt(&mut rng, &key.public, &msg);
+        let at = (pick as usize % (ct.len() / k)) * k;
+        let segment = ct[at..at + k].to_vec();
+
+        let mut dropped = ct.clone();
+        dropped.drain(at..at + k);
+        prop_assert!(rsa::decrypt(key, &dropped).is_err());
+
+        let mut duplicated = ct.clone();
+        duplicated.splice(at..at, segment);
+        prop_assert!(rsa::decrypt(key, &duplicated).is_err());
+    }
+
+    #[test]
+    fn seal_rejects_truncated_tag(msg in prop::collection::vec(any::<u8>(), 0..200), seed in any::<u64>(), cut in 1usize..=32) {
+        let key = rsa_key();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ct = rsa::encrypt(&mut rng, &key.public, &msg);
+        ct.truncate(ct.len() - cut);
+        prop_assert!(rsa::decrypt(key, &ct).is_err());
+    }
+
+    #[test]
+    fn seal_rejects_spliced_key_block(msg in prop::collection::vec(any::<u8>(), 0..200), seed in any::<u64>()) {
+        // The KEM block of one ciphertext onto the body and tag of
+        // another: the OAEP block opens, the tag under its key fails.
+        let key = rsa_key();
+        let k = key.public.size_bytes();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let donor = rsa::encrypt(&mut rng, &key.public, &msg);
+        let mut ct = rsa::encrypt(&mut rng, &key.public, &msg);
+        ct[..k].copy_from_slice(&donor[..k]);
+        prop_assert_eq!(rsa::decrypt(key, &ct), Err(rsa::encrypt::DecryptError::BadTag));
+    }
+
+    #[test]
+    fn seal_decrypt_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
+        let _ = rsa::decrypt(rsa_key(), &bytes);
+    }
+
+    #[test]
     fn fdh_sign_verify(msg in prop::collection::vec(any::<u8>(), 0..200)) {
         let key = rsa_key();
         let sig = rsa::sign(key, &msg);
