@@ -1,20 +1,18 @@
-//! `FpMont<LIMBS>`: allocation-free fixed-width Montgomery arithmetic.
+//! `FpMont<LIMBS>`: allocation-free fixed-width Montgomery arithmetic,
+//! the one backend behind every [`ModRing`](crate::ModRing).
 //!
-//! The dynamic [`Montgomery`](crate::Montgomery) context is correct for
-//! any odd modulus, but every hot operation round-trips heap-allocated
-//! `Vec<u64>` limb buffers — an allocation, a pointer chase and a
-//! length check per multiplication, paid millions of times per market
-//! round. This module monomorphizes the same CIOS kernels over a
-//! `const LIMBS: usize` width so that residues live in `[u64; LIMBS]`
-//! on the stack, loop bounds are compile-time constants and the whole
-//! exponentiation ladder runs without touching the allocator.
+//! The CIOS kernels are monomorphized over a `const LIMBS: usize` width
+//! so that residues live in `[u64; LIMBS]` on the stack, loop bounds
+//! are compile-time constants and the whole exponentiation ladder runs
+//! without touching the allocator.
 //!
-//! Widths are instantiated for the moduli the protocols actually use
-//! (see `Fixed` in `ring.rs`): 1024- and 2048-bit RSA/group moduli
-//! (16 / 32 limbs), their CRT halves (8 / 16), the 512-bit bench
-//! modulus (8) and the fixture-tower groups (2 / 4). Setup-time odd
-//! sizes keep the dynamic path; the split is routed invisibly behind
-//! [`ModRing`](crate::ModRing).
+//! A modulus of *at most* `LIMBS` limbs is accepted and zero-padded:
+//! `R = 2^(64·LIMBS) > n` is all Montgomery reduction needs, so a
+//! narrower modulus only pays for the padding limbs. `ModRing` picks
+//! the smallest instantiation that fits (see `Fixed` in `ring.rs`):
+//! 1 limb for the Type-A pairing field, 2 / 4 for the fixture-tower
+//! groups and the CRT halves of 512-bit RSA keys, 8 for 512-bit
+//! moduli, 16 / 32 for the 1024- and 2048-bit RSA and group moduli.
 //!
 //! Allocation discipline, mechanically enforced by
 //! `tests/alloc_free.rs` with a counting global allocator:
@@ -30,7 +28,6 @@
 //!   `to_mont` of an unreduced operand) allocate exactly the result —
 //!   callers inside the ladder never cross that boundary.
 
-use crate::montgomery::neg_inv_u64;
 use crate::BigUint;
 use std::cell::RefCell;
 
@@ -65,6 +62,24 @@ pub(crate) fn pippenger_window(n: usize) -> usize {
     }
 }
 
+/// `-n^{-1} mod 2^64` by Newton–Hensel lifting (n odd).
+///
+/// The seed `x = n0` is already an inverse of `n0` mod 2^3: every odd
+/// `n0` satisfies `n0² ≡ 1 (mod 8)`, i.e. `n0·n0 ≡ 1`, so `x` starts
+/// with 3 correct low bits. Each Hensel step
+/// `x ← x·(2 − n0·x)` doubles the number of correct bits
+/// (if `n0·x = 1 + ε·2^k` then `n0·x' = 1 − ε²·2^2k`), so the correct
+/// bit count goes 3 → 6 → 12 → 24 → 48 → 96 ≥ 64: **5 lifts suffice**.
+fn neg_inv_u64(n0: u64) -> u64 {
+    debug_assert!(n0 & 1 == 1);
+    let mut x = n0;
+    for _ in 0..5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(x)));
+    }
+    debug_assert_eq!(n0.wrapping_mul(x), 1);
+    x.wrapping_neg()
+}
+
 thread_local! {
     /// Reusable limb arena for the multi-exponentiation tables. Grown
     /// monotonically; once a thread has run its largest batch shape the
@@ -88,11 +103,9 @@ fn with_scratch<R>(words: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
     })
 }
 
-/// A Montgomery context for a fixed odd modulus of exactly `LIMBS`
-/// 64-bit limbs (most significant limb nonzero). Residues are
-/// `[u64; LIMBS]` stack arrays in Montgomery form; the kernels are the
-/// same CIOS recurrences as the dynamic backend, so results are
-/// bit-identical.
+/// A Montgomery context for an odd modulus of at most `LIMBS` 64-bit
+/// limbs, zero-padded to `LIMBS`. Residues are `[u64; LIMBS]` stack
+/// arrays in Montgomery form with `R = 2^(64·LIMBS)`.
 #[derive(Clone, Debug)]
 pub struct FpMont<const LIMBS: usize> {
     /// The modulus, little-endian limbs.
@@ -108,15 +121,13 @@ pub struct FpMont<const LIMBS: usize> {
 }
 
 impl<const LIMBS: usize> FpMont<LIMBS> {
-    /// Builds the context, or `None` when the modulus does not fill
-    /// exactly `LIMBS` limbs or is even (those stay on the dynamic
-    /// path).
+    /// Builds the context, or `None` when the modulus is even, `<= 1`
+    /// or wider than `LIMBS` limbs.
     pub fn new(n: &BigUint) -> Option<FpMont<LIMBS>> {
-        if LIMBS == 0 || n.limbs().len() != LIMBS || !n.is_odd() || n.is_one() {
+        if LIMBS == 0 || n.limbs().len() > LIMBS || !n.is_odd() || n.is_one() {
             return None;
         }
-        let mut nn = [0u64; LIMBS];
-        nn.copy_from_slice(n.limbs());
+        let nn: [u64; LIMBS] = to_arr(n);
         let r1 = &(BigUint::one() << (64 * LIMBS)) % n;
         let r2 = &(&r1 * &r1) % n;
         Some(FpMont {
@@ -320,6 +331,50 @@ impl<const LIMBS: usize> FpMont<LIMBS> {
         } else {
             self.straus_mont(pairs)
         }
+    }
+
+    /// Shamir simultaneous `∏ baseᵢ^expᵢ` in Montgomery form: a
+    /// `2^n − 1`-entry subset-product table (entry `mask − 1` holds
+    /// `∏ baseᵢ` over the set bits of `mask`), then one shared
+    /// square-per-bit chain with a single table multiplication per bit.
+    /// Callers keep `pairs` small (the table has `2^len` entries).
+    pub(crate) fn shamir_mont(&self, pairs: &[(&BigUint, &BigUint)]) -> [u64; LIMBS] {
+        let n = pairs.len();
+        let bases: Vec<[u64; LIMBS]> = pairs.iter().map(|(b, _)| self.to_mont(b)).collect();
+        let mut subset: Vec<[u64; LIMBS]> = Vec::with_capacity((1 << n) - 1);
+        for mask in 1usize..(1 << n) {
+            let low = mask & mask.wrapping_neg();
+            let rest = mask ^ low;
+            let base = &bases[low.trailing_zeros() as usize];
+            subset.push(if rest == 0 {
+                *base
+            } else {
+                self.mont_mul(&subset[rest - 1], base)
+            });
+        }
+        let max_bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
+        let mut acc = self.r1;
+        let mut started = false;
+        for bit in (0..max_bits).rev() {
+            if started {
+                acc = self.mont_sqr(&acc);
+            }
+            let mut mask = 0usize;
+            for (i, (_, e)) in pairs.iter().enumerate() {
+                if e.bit(bit) {
+                    mask |= 1 << i;
+                }
+            }
+            if mask != 0 {
+                acc = if started {
+                    self.mont_mul(&acc, &subset[mask - 1])
+                } else {
+                    subset[mask - 1]
+                };
+                started = true;
+            }
+        }
+        acc
     }
 
     /// Straus interleaved multi-exponentiation: a 15-entry odd-digit
@@ -564,9 +619,95 @@ mod tests {
     fn new_rejects_wrong_widths() {
         let n = n192(); // 3 limbs
         assert!(FpMont::<3>::new(&n).is_some());
-        assert!(FpMont::<2>::new(&n).is_none());
-        assert!(FpMont::<4>::new(&n).is_none());
+        assert!(FpMont::<4>::new(&n).is_some()); // zero-padded
+        assert!(FpMont::<2>::new(&n).is_none()); // too narrow
         assert!(FpMont::<3>::new(&(&n + 1u64)).is_none()); // even
+        assert!(FpMont::<1>::new(&BigUint::one()).is_none());
+    }
+
+    #[test]
+    fn neg_inv_works() {
+        for n0 in [1u64, 3, 5, 0xFFFF_FFFF_FFFF_FFFF, 0x1234_5678_9ABC_DEF1] {
+            let x = neg_inv_u64(n0);
+            assert_eq!(n0.wrapping_mul(x), 1u64.wrapping_neg(), "n0 = {n0:#x}");
+        }
+    }
+
+    #[test]
+    fn neg_inv_exhaustive_odd_u8() {
+        // Every odd 8-bit value, embedded in u64 — small enough to
+        // enumerate completely, and the low byte is exactly where the
+        // 3-bit seed of the Hensel lift starts.
+        for low in (1u64..256).step_by(2) {
+            let x = neg_inv_u64(low);
+            assert_eq!(low.wrapping_mul(x), 1u64.wrapping_neg(), "n0 = {low:#x}");
+        }
+    }
+
+    #[test]
+    fn neg_inv_randomized_u64() {
+        // Deterministic xorshift64* stream, forced odd: exercises the
+        // full 64-bit range the 5-lift doubling argument covers.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..1000 {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let n0 = state.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+            let x = neg_inv_u64(n0);
+            assert_eq!(n0.wrapping_mul(x), 1u64.wrapping_neg(), "n0 = {n0:#x}");
+        }
+    }
+
+    /// A one-limb modulus on its exact width or zero-padded to a wider
+    /// instantiation must give the same answers.
+    fn padded<const LIMBS: usize>(n: u64) -> FpMont<LIMBS> {
+        FpMont::<LIMBS>::new(&BigUint::from(n)).expect("odd modulus fits")
+    }
+
+    fn check_mul_small<const LIMBS: usize>(fp: &FpMont<LIMBS>) {
+        let (seven, twenty, hundred) = (
+            BigUint::from(7u64),
+            BigUint::from(20u64),
+            BigUint::from(100u64),
+        );
+        assert_eq!(fp.mul(&seven, &twenty), BigUint::from(39u64));
+        assert!(fp.mul(&hundred, &hundred).is_one());
+    }
+
+    #[test]
+    fn mont_mul_small() {
+        check_mul_small(&padded::<1>(101));
+        check_mul_small(&padded::<4>(101));
+    }
+
+    fn check_fermat<const LIMBS: usize>(fp: &FpMont<LIMBS>) {
+        // a^(p-1) = 1 mod p for prime p.
+        let pm1 = fp.modulus() - 1u64;
+        for a in [2u64, 3, 12345, 999_999_999] {
+            assert!(fp.pow(&BigUint::from(a), &pm1).is_one(), "a = {a}");
+        }
+    }
+
+    #[test]
+    fn pow_fermat() {
+        check_fermat(&padded::<1>(1_000_000_007));
+        check_fermat(&padded::<2>(1_000_000_007));
+    }
+
+    fn check_pow_edges<const LIMBS: usize>(fp: &FpMont<LIMBS>) {
+        let five = BigUint::from(5u64);
+        assert!(fp.pow(&five, &BigUint::zero()).is_one(), "exponent 0");
+        assert!(fp.pow(&BigUint::zero(), &five).is_zero(), "base 0");
+        assert_eq!(fp.pow(&five, &BigUint::one()), five, "exponent 1");
+        let wide = fp.modulus() + 7u64; // base >= n is reduced first
+        assert_eq!(fp.pow(&wide, &BigUint::two()), BigUint::from(49u64));
+    }
+
+    #[test]
+    fn pow_edges() {
+        check_pow_edges(&padded::<1>(99991));
+        check_pow_edges(&padded::<8>(99991));
     }
 
     #[test]

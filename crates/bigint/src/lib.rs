@@ -13,18 +13,17 @@
 //! * schoolbook and Karatsuba multiplication with an empirically chosen
 //!   crossover,
 //! * Knuth Algorithm D division,
-//! * Montgomery modular exponentiation (odd moduli) with a plain
-//!   square-and-multiply fallback,
-//! * [`FpMont`]: the allocation-free fixed-width core — the same
-//!   Montgomery kernels monomorphized over `const LIMBS` widths
-//!   (stack-resident residues, thread-local scratch arena) for the
-//!   protocol moduli, proven allocation-free by a counting-allocator
+//! * [`FpMont`]: allocation-free Montgomery kernels monomorphized over
+//!   `const LIMBS` widths (stack-resident residues, thread-local
+//!   scratch arena), proven allocation-free by a counting-allocator
 //!   test,
-//! * [`ModRing`]: a constructed-once per-modulus context unifying
-//!   the fixed-width, Montgomery and Barrett backends behind one API,
-//!   with cached fixed-base window tables, Shamir simultaneous
+//! * [`ModRing`]: a constructed-once context for an odd modulus of at
+//!   most 2048 bits, running on the smallest `FpMont` width that fits,
+//!   with cached fixed-base window tables, Shamir / Straus / Pippenger
 //!   multi-exponentiation, and RSA-CRT ([`RsaCrt`]) — the layer every
 //!   crate above exponentiates through,
+//! * [`modpow_plain`]: plain square-and-multiply, the test oracle and
+//!   the fallback for moduli a ring does not take,
 //! * extended Euclid / modular inverse, Jacobi symbols,
 //! * random generation, and decimal/hex/byte conversions.
 //!
@@ -44,7 +43,6 @@
 //! ```
 
 mod arith;
-mod barrett;
 mod bigint;
 mod biguint;
 mod convert;
@@ -52,20 +50,17 @@ mod div;
 mod fixed;
 mod gcd;
 mod modular;
-mod montgomery;
 mod mul;
 mod random;
 mod ring;
 mod shift;
 
-pub use crate::barrett::Barrett;
 pub use crate::bigint::{BigInt, Sign};
 pub use crate::biguint::BigUint;
 pub use crate::convert::ParseBigUintError;
 pub use crate::fixed::FpMont;
 pub use crate::gcd::{ext_gcd, gcd, jacobi, lcm};
 pub use crate::modular::modpow_plain;
-pub use crate::montgomery::Montgomery;
 pub use crate::mul::{
     mul_karatsuba_pub, mul_karatsuba_ws_pub, mul_schoolbook_pub, sqr_karatsuba_pub,
     sqr_schoolbook_pub,

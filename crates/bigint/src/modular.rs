@@ -1,11 +1,14 @@
-//! Modular arithmetic entry points on [`BigUint`]: `modpow` (Montgomery
-//! for odd moduli, square-and-multiply otherwise), `modinv`, `modmul`,
-//! and small helpers used pervasively by the crypto crates.
+//! Modular arithmetic entry points on [`BigUint`]: `modpow` (a
+//! [`ModRing`] for odd moduli of at most 2048 bits, square-and-multiply
+//! otherwise), `modinv`, `modmul`, and small helpers used pervasively
+//! by the crypto crates.
 
-use crate::{ext_gcd, BigUint, Montgomery};
+use crate::ring::MAX_LIMBS;
+use crate::{ext_gcd, BigUint, ModRing};
 
-/// Plain square-and-multiply, used when the modulus is even (Montgomery
-/// needs odd moduli). Exposed for the `ablation_bigint` bench.
+/// Plain square-and-multiply: the reference every `ModRing` path is
+/// tested against, and the `modpow` fallback for even and over-wide
+/// moduli. Exposed for the `ablation_bigint` bench.
 pub fn modpow_plain(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
     assert!(!m.is_zero(), "zero modulus");
     if m.is_one() {
@@ -25,7 +28,10 @@ pub fn modpow_plain(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
 }
 
 impl BigUint {
-    /// `self^exp mod m`. Dispatches to Montgomery for odd `m`.
+    /// `self^exp mod m`: through a one-off [`ModRing`] for odd `m` of at
+    /// most 2048 bits, plain square-and-multiply otherwise. Callers
+    /// that exponentiate repeatedly under one modulus should keep a
+    /// ring instead.
     ///
     /// Panics if `m` is zero.
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
@@ -33,8 +39,8 @@ impl BigUint {
         if m.is_one() {
             return BigUint::zero();
         }
-        if m.is_odd() {
-            Montgomery::new(m).modpow(self, exp)
+        if m.is_odd() && m.limbs().len() <= MAX_LIMBS {
+            ModRing::new(m).pow(self, exp)
         } else {
             modpow_plain(self, exp, m)
         }
@@ -106,6 +112,15 @@ mod tests {
                 "m = {m}"
             );
         }
+    }
+
+    #[test]
+    fn modpow_over_wide_odd_modulus_falls_back_to_plain() {
+        // 33 limbs: wider than any ring, so `modpow` takes the plain path.
+        let m = &(BigUint::one() << (64 * 32)) + 3u64;
+        let base = b(123456789);
+        let exp = b(987654);
+        assert_eq!(base.modpow(&exp, &m), modpow_plain(&base, &exp, &m));
     }
 
     #[test]

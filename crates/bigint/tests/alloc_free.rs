@@ -5,7 +5,8 @@
 //! Straus/Pippenger `multi_pow_n_mont` evaluators once the
 //! thread-local scratch arena is warmed. At the `ModRing` boundary a
 //! warmed `pow` is pinned to exactly one allocation: the result
-//! `BigUint` itself.
+//! `BigUint` itself. Both hold at exact widths (1, 16 and 32 limbs)
+//! and for a 3-limb modulus zero-padded into `FpMont<4>`.
 //!
 //! The counter is a `const`-initialized `thread_local!` `Cell` — no
 //! lazy initialization and no drop registration, so bumping it from
@@ -77,9 +78,11 @@ fn fixture(limbs: usize) -> (BigUint, BigUint, BigUint) {
     )
 }
 
-fn assert_kernels_allocation_free<const LIMBS: usize>() {
-    let (n, base, exp) = fixture(LIMBS);
-    let fp = FpMont::<LIMBS>::new(&n).expect("exact-width odd modulus");
+/// Runs the kernel checks on a `modulus_limbs`-limb modulus held in
+/// `FpMont<LIMBS>` (zero-padded when `modulus_limbs < LIMBS`).
+fn assert_kernels_allocation_free<const LIMBS: usize>(modulus_limbs: usize) {
+    let (n, base, exp) = fixture(modulus_limbs);
+    let fp = FpMont::<LIMBS>::new(&n).expect("odd modulus fits the width");
     let base = &base % &n;
     let am = fp.to_mont(&base);
 
@@ -118,12 +121,22 @@ fn assert_kernels_allocation_free<const LIMBS: usize>() {
 
 #[test]
 fn kernels_allocation_free_1024() {
-    assert_kernels_allocation_free::<16>();
+    assert_kernels_allocation_free::<16>(16);
 }
 
 #[test]
 fn kernels_allocation_free_2048() {
-    assert_kernels_allocation_free::<32>();
+    assert_kernels_allocation_free::<32>(32);
+}
+
+#[test]
+fn kernels_allocation_free_1_limb() {
+    assert_kernels_allocation_free::<1>(1);
+}
+
+#[test]
+fn kernels_allocation_free_3_limbs_padded_to_4() {
+    assert_kernels_allocation_free::<4>(3);
 }
 
 fn assert_multi_pow_warmed_allocation_free<const LIMBS: usize>(npairs: usize) {
@@ -176,16 +189,11 @@ fn multi_pow_n_warmed_allocation_free_2048() {
 
 /// At the `ModRing` boundary the only unavoidable allocation is the
 /// result `BigUint` handed back to the caller (`from_mont` collects
-/// the limbs into a fresh `Vec`). A warmed 1024-bit `pow` is pinned to
-/// exactly that one allocation — the ladder itself touches nothing.
-#[test]
-fn ring_pow_allocates_only_the_result() {
-    let (n, base, exp) = fixture(16);
+/// the limbs into a fresh `Vec`). A warmed `pow` is pinned to exactly
+/// that one allocation — the ladder itself touches nothing.
+fn assert_ring_pow_allocates_only_the_result(limbs: usize) {
+    let (n, base, exp) = fixture(limbs);
     let ring = ModRing::new(&n);
-    assert!(
-        ring.has_fixed_width(),
-        "16-limb modulus must be fixed-width"
-    );
     let base = ring.reduce(&base);
     // Warm the call site: resolves the obs histogram handle once.
     black_box(ring.pow(&base, &exp));
@@ -196,4 +204,15 @@ fn ring_pow_allocates_only_the_result() {
         1,
         "warmed ModRing::pow must allocate exactly the result BigUint"
     );
+}
+
+#[test]
+fn ring_pow_allocates_only_the_result() {
+    assert_ring_pow_allocates_only_the_result(16);
+}
+
+/// The pairing field's width: a 1-limb modulus on `FpMont<1>`.
+#[test]
+fn ring_pow_allocates_only_the_result_1_limb() {
+    assert_ring_pow_allocates_only_the_result(1);
 }

@@ -303,6 +303,10 @@ impl DecMarket {
             .coin
             .as_ref()
             .ok_or(MarketError::BadCoin("no coin withdrawn".into()))?;
+        // The receiver's key comes off the bulletin: refuse a malformed
+        // or hostile one before any coin nodes are allocated.
+        let sp_pk = ppms_crypto::rsa::RsaPublicKey::from_bytes(sp_pubkey_bytes)
+            .ok_or(MarketError::BadPayload("sp public key".into()))?;
         if jo.allocator.remaining() < w {
             return Err(MarketError::InsufficientFunds);
         }
@@ -341,8 +345,6 @@ impl DecMarket {
         payload.extend_from_slice(&(sig_bytes.len() as u32).to_be_bytes());
         payload.extend_from_slice(&sig_bytes);
 
-        let sp_pk = ppms_crypto::rsa::RsaPublicKey::from_bytes(sp_pubkey_bytes)
-            .ok_or(MarketError::BadPayload("sp public key".into()))?;
         let ciphertext = rsa::encrypt(rng, &sp_pk, &payload);
         self.metrics.count(Party::Jo, Op::Enc);
 

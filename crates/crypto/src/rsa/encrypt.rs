@@ -34,6 +34,10 @@ const SECRET_LEN: usize = 16;
 /// Length of the HMAC-SHA-256 tag that ends every ciphertext.
 const TAG_LEN: usize = 32;
 
+/// Shortest modulus, in bytes, whose OAEP block holds the sealed
+/// secret. `RsaPublicKey::from_bytes` refuses narrower keys.
+pub(crate) const MIN_MODULUS_BYTES: usize = 2 * HLEN + 2 + SECRET_LEN;
+
 /// The (truncated) label hash.
 fn lhash() -> [u8; HLEN] {
     Sha256::digest(b"")[..HLEN].try_into().expect("HLEN <= 32")

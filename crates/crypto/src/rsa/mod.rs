@@ -22,6 +22,10 @@ pub use sign::{batch_verify, batch_verify_combined, combined_profitable, sign, v
 /// The standard public exponent.
 pub const E: u64 = 65537;
 
+/// Widest modulus a key may have: the 2048-bit ceiling of
+/// [`ModRing`], which every RSA operation runs on.
+pub(crate) const MAX_MODULUS_BITS: usize = 2048;
+
 /// An RSA public key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsaPublicKey {
@@ -58,17 +62,28 @@ impl RsaPublicKey {
         out
     }
 
-    /// Decodes [`Self::to_bytes`]. Returns `None` on malformed input.
+    /// Decodes [`Self::to_bytes`]. Returns `None` on malformed input
+    /// and on any key the RSA operations cannot take: the modulus must
+    /// be odd, long enough for the seal's OAEP block (50 bytes) and at
+    /// most 2048 bits; the exponent must be odd and above one.
+    /// Peer keys reach the protocols through here, so a hostile key is
+    /// refused at decode instead of panicking in the seal or in
+    /// [`ModRing::new`].
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let (n, rest) = read_lv(bytes)?;
         let (e, rest) = read_lv(rest)?;
         if !rest.is_empty() {
             return None;
         }
-        Some(RsaPublicKey {
+        let key = RsaPublicKey {
             n: BigUint::from_bytes_be(n),
             e: BigUint::from_bytes_be(e),
-        })
+        };
+        let n_ok = key.n.is_odd()
+            && key.size_bytes() >= encrypt::MIN_MODULUS_BYTES
+            && key.n.bits() <= MAX_MODULUS_BITS;
+        let e_ok = key.e.is_odd() && !key.e.is_one();
+        (n_ok && e_ok).then_some(key)
     }
 }
 
@@ -111,11 +126,15 @@ impl RsaPrivateKey {
 
 /// Generates an RSA key pair with a modulus of (about) `bits` bits.
 ///
-/// `bits >= 128`; tests in this workspace use 512, the report harness
-/// 1024 — the paper's Java implementation also used short moduli for
-/// its timing study.
+/// `128 <= bits <= 2048`; tests in this workspace use 512, the report
+/// harness 1024 — the paper's Java implementation also used short
+/// moduli for its timing study.
 pub fn keygen<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> RsaPrivateKey {
     assert!(bits >= 128, "modulus too small to hold OAEP padding");
+    assert!(
+        bits <= MAX_MODULUS_BITS,
+        "modulus wider than {MAX_MODULUS_BITS} bits"
+    );
     let e = BigUint::from(E);
     loop {
         let p = random_prime(rng, bits / 2);
@@ -146,6 +165,7 @@ pub(crate) fn test_key(seed: u64) -> RsaPrivateKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppms_bigint::random_odd_bits;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -172,6 +192,59 @@ mod tests {
         let bits = key.public.n.bits();
         assert!((511..=512).contains(&bits), "got {bits} bits");
         assert_eq!(key.public.size_bytes(), 64);
+    }
+
+    /// Encodes an arbitrary `(n, e)` pair the way [`RsaPublicKey::to_bytes`]
+    /// would, bypassing any validation.
+    fn raw_key_bytes(n: &BigUint, e: &BigUint) -> Vec<u8> {
+        RsaPublicKey {
+            n: n.clone(),
+            e: e.clone(),
+        }
+        .to_bytes()
+    }
+
+    #[test]
+    fn from_bytes_rejects_hostile_moduli() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let e = BigUint::from(E);
+        let even_512 = &random_odd_bits(&mut rng, 512) + 1u64;
+        for n in [
+            BigUint::zero(),
+            BigUint::one(),
+            even_512,
+            random_odd_bits(&mut rng, 256), // 32 bytes: too short for the seal
+            random_odd_bits(&mut rng, 2056), // over the 2048-bit ceiling
+        ] {
+            assert_eq!(
+                RsaPublicKey::from_bytes(&raw_key_bytes(&n, &e)),
+                None,
+                "n of {} bits",
+                n.bits()
+            );
+        }
+        // The boundaries themselves are accepted.
+        for bits in [8 * encrypt::MIN_MODULUS_BYTES, MAX_MODULUS_BITS] {
+            let n = random_odd_bits(&mut rng, bits);
+            assert!(RsaPublicKey::from_bytes(&raw_key_bytes(&n, &e)).is_some());
+        }
+    }
+
+    #[test]
+    fn from_bytes_rejects_hostile_exponents() {
+        let n = test_key(6).public.n;
+        for e in [0u64, 1, 65536] {
+            let bytes = raw_key_bytes(&n, &BigUint::from(e));
+            assert_eq!(RsaPublicKey::from_bytes(&bytes), None, "e = {e}");
+        }
+        let ok = raw_key_bytes(&n, &BigUint::from(3u64));
+        assert!(RsaPublicKey::from_bytes(&ok).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 2048 bits")]
+    fn keygen_rejects_over_wide_moduli() {
+        keygen(&mut StdRng::seed_from_u64(7), 2056);
     }
 
     #[test]

@@ -118,6 +118,47 @@ fn tampered_ciphertext_rejected_by_sp() {
     assert_eq!(err, MarketError::BadPayload("decrypt".into()));
 }
 
+#[test]
+fn payment_to_hostile_sp_key_is_refused() {
+    use ppms_bigint::{random_odd_bits, BigUint};
+    use ppms_crypto::rsa::RsaPublicKey;
+
+    let (mut market, mut rng) = dec_market(25, 3);
+    let mut jo = market.register_jo(&mut rng, 100, TEST_RSA_BITS);
+    let sp = market.register_sp(&mut rng, TEST_RSA_BITS);
+    market.register_job(&jo, "job", 5);
+    market.withdraw(&mut rng, &mut jo).unwrap();
+    let sp_pk = market.labor_registration(&sp);
+    let good = RsaPublicKey::from_bytes(&sp_pk).expect("registered key decodes");
+
+    let e = good.e.clone();
+    let hostile = [
+        (BigUint::zero(), e.clone()),
+        (BigUint::one(), e.clone()),
+        (&good.n + 1u64, e.clone()),                  // even
+        (random_odd_bits(&mut rng, 256), e.clone()),  // too short to seal to
+        (random_odd_bits(&mut rng, 2056), e.clone()), // over 2048 bits
+        (good.n.clone(), BigUint::zero()),
+        (good.n.clone(), BigUint::one()),
+        (good.n.clone(), BigUint::from(65536u64)), // even exponent
+    ];
+    for (n, e) in hostile {
+        let bytes = RsaPublicKey { n, e }.to_bytes();
+        let err = market
+            .submit_payment(&mut rng, &mut jo, &bytes, 1, CashBreak::Pcba)
+            .unwrap_err();
+        assert_eq!(err, MarketError::BadPayload("sp public key".into()));
+    }
+    // The refusals allocated no coin nodes: the full payment still fits.
+    let (ct, ..) = market
+        .submit_payment(&mut rng, &mut jo, &sp_pk, 5, CashBreak::Pcba)
+        .unwrap();
+    let (credited, _) = market
+        .deposit_payment(&sp, &jo.job_key_public(), &ct)
+        .unwrap();
+    assert_eq!(credited, 5);
+}
+
 /// Extracts the JO's coin for crafting adversarial spends (test-only
 /// access path: we re-run withdrawal through the bank directly).
 fn market_coin(
