@@ -37,8 +37,10 @@
 
 use crate::bank::AccountId;
 use crate::error::MarketError;
+use crate::poll::Waker;
 use crate::service::{MaRequest, MaResponse, RequestKey};
 use crate::wire::{put_list, read_list, WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use crossbeam::channel::{Receiver, Sender};
 use ppms_ecash::Spend;
 use ppms_obs::{Counter, Registry};
 use std::collections::{HashMap, VecDeque};
@@ -542,48 +544,66 @@ pub fn denied_error(reason: &str) -> MarketError {
 
 /// Rendezvous between the service's checkpoint protocol and the TCP
 /// front door's reactor, which owns the [`AdmissionGate`] outright
-/// (no lock). At checkpoint time the dispatcher [`request`]s an
-/// export; the reactor polls [`pending`] once per tick and answers
-/// with [`fulfill`]; the dispatcher collects it via [`take_blob`]
-/// under a bounded wait, so a stopped reactor only costs the
-/// checkpoint its gate section, never wedges it.
-///
-/// [`request`]: GateCheckpoint::request
-/// [`pending`]: GateCheckpoint::pending
-/// [`fulfill`]: GateCheckpoint::fulfill
-/// [`take_blob`]: GateCheckpoint::take_blob
-#[derive(Debug, Default)]
+/// (no lock). At checkpoint time the dispatcher requests an export,
+/// which wakes the reactor, and blocks a bounded window on the
+/// returned receiver; the reactor answers on its next tick. Once the
+/// reactor has stopped, a request returns `None` at once, so a
+/// stopped reactor only costs the checkpoint its gate section, never
+/// wedges it.
 pub struct GateCheckpoint {
-    requested: std::sync::atomic::AtomicBool,
-    blob: parking_lot::Mutex<Option<Vec<u8>>>,
+    waker: Arc<Waker>,
+    slot: parking_lot::Mutex<CheckpointSlot>,
+}
+
+#[derive(Default)]
+struct CheckpointSlot {
+    /// The reactor has stopped: no answer will ever come.
+    closed: bool,
+    /// The dispatcher's outstanding request.
+    waiting: Option<Sender<Vec<u8>>>,
 }
 
 impl GateCheckpoint {
-    /// Fresh hook with no request outstanding.
-    pub fn new() -> GateCheckpoint {
-        GateCheckpoint::default()
+    /// A hook whose requests wake the reactor behind `waker`.
+    pub(crate) fn new(waker: Arc<Waker>) -> GateCheckpoint {
+        GateCheckpoint {
+            waker,
+            slot: parking_lot::Mutex::new(CheckpointSlot::default()),
+        }
     }
 
-    /// Dispatcher side: ask the reactor for a gate export.
-    pub fn request(&self) {
-        self.requested
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+    /// Dispatcher side: ask the reactor for a gate export and wake it.
+    /// The export arrives on the returned receiver; `None` when the
+    /// reactor has stopped.
+    pub(crate) fn request(&self) -> Option<Receiver<Vec<u8>>> {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        {
+            let mut slot = self.slot.lock();
+            if slot.closed {
+                return None;
+            }
+            slot.waiting = Some(tx);
+        }
+        self.waker.wake();
+        Some(rx)
     }
 
-    /// Reactor side: is an export wanted? Clears the flag.
-    pub fn pending(&self) -> bool {
-        self.requested
-            .swap(false, std::sync::atomic::Ordering::SeqCst)
+    /// Reactor side: answer the outstanding request, if any. An answer
+    /// the dispatcher stopped waiting for is discarded with its
+    /// receiver.
+    pub(crate) fn serve(&self, export: impl FnOnce() -> Vec<u8>) {
+        let waiting = self.slot.lock().waiting.take();
+        if let Some(tx) = waiting {
+            let _ = tx.send(export());
+        }
     }
 
-    /// Reactor side: publish the exported gate state.
-    pub fn fulfill(&self, blob: Vec<u8>) {
-        *self.blob.lock() = Some(blob);
-    }
-
-    /// Dispatcher side: collect the export, if the reactor answered.
-    pub fn take_blob(&self) -> Option<Vec<u8>> {
-        self.blob.lock().take()
+    /// Reactor side, on exit: refuse later requests and hang up on an
+    /// outstanding one.
+    pub(crate) fn close(&self) {
+        let mut slot = self.slot.lock();
+        slot.closed = true;
+        slot.waiting = None;
     }
 }
 

@@ -37,6 +37,10 @@
 //! Fig. 5), and [`attack`] (the denomination / linkage attack
 //! evaluation behind the paper's §IV-B analysis).
 
+// The one `unsafe` block in the crate is the `poll(2)` call in
+// `poll::wait`, which opts out of this lint by itself.
+#![deny(unsafe_code)]
+
 pub mod attack;
 pub mod bank;
 pub mod bulletin;
@@ -45,6 +49,7 @@ pub mod frame;
 pub mod gate;
 pub mod metrics;
 pub mod mixnet;
+mod poll;
 pub mod ppmsdec;
 pub mod ppmspbs;
 pub mod retry;
@@ -70,8 +75,8 @@ pub use ppmsdec::{DecMarket, DecRoundOutcome};
 pub use ppmspbs::{PbsMarket, PbsRoundOutcome};
 pub use retry::{RetryPolicy, RetryingTransport};
 pub use service::{
-    CrashPoint, Inbound, MaClient, MaRequest, MaResponse, MaService, RecoveryReport, RequestKey,
-    ServiceConfig,
+    CrashPoint, Inbound, MaClient, MaRequest, MaResponse, MaService, RecoveryReport, Reply,
+    RequestKey, ServiceConfig,
 };
 pub use storage::{
     DiskStorage, DurabilityConfig, DurableLog, FaultyStorage, SimStorage, SnapshotState, Storage,

@@ -45,6 +45,7 @@ use crate::bulletin::{Bulletin, JobProfile};
 use crate::error::MarketError;
 use crate::gate::GateCheckpoint;
 use crate::metrics::{FaultMetrics, Party};
+use crate::poll::Waker;
 use crate::retry::{RetryPolicy, RetryingTransport};
 use crate::storage::{
     load_latest, save_snapshot, DurabilityConfig, DurableLog, ShardSection, SimStorage,
@@ -54,7 +55,7 @@ use crate::transport::{
     request_label, FaultPlan, InProcTransport, SimNetConfig, SimNetTransport, TrafficLog, Transport,
 };
 use crate::wal::{CommittedEntry, WalRecord};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, SendError, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use ppms_bigint::BigUint;
 use ppms_crypto::cl::{ClPublicKey, ClSignature};
@@ -228,7 +229,60 @@ pub struct Inbound {
     /// The request.
     pub request: MaRequest,
     /// Where the handling shard sends the response.
-    pub reply: Sender<MaResponse>,
+    pub reply: Reply,
+}
+
+/// The reply half of an [`Inbound`]: the response channel plus, for
+/// requests from the TCP front door, the reactor's waker. Sending
+/// the response *or dropping the reply unsent* wakes the reactor, so
+/// a shard that crashes or panics mid-request hangs up on a reactor
+/// that notices at once, not at its next unrelated wakeup.
+pub struct Reply {
+    /// `None` only inside `drop`, which hangs up before it wakes.
+    tx: Option<Sender<MaResponse>>,
+    waker: Option<Arc<Waker>>,
+}
+
+impl Reply {
+    /// A reply that wakes `waker` once it is sent or dropped.
+    pub(crate) fn waking(tx: Sender<MaResponse>, waker: Arc<Waker>) -> Reply {
+        Reply {
+            tx: Some(tx),
+            waker: Some(waker),
+        }
+    }
+
+    /// Delivers the response (the wake follows as `self` drops). Fails
+    /// only when the requester has gone away.
+    pub fn send(self, response: MaResponse) -> Result<(), SendError<MaResponse>> {
+        self.tx
+            .as_ref()
+            .expect("a live reply holds its sender")
+            .send(response)
+    }
+}
+
+impl From<Sender<MaResponse>> for Reply {
+    /// A reply for an in-process caller blocked on the receiver
+    /// itself: nothing to wake.
+    fn from(tx: Sender<MaResponse>) -> Reply {
+        Reply {
+            tx: Some(tx),
+            waker: None,
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        // Hang up *before* waking: a reactor woken while the sender
+        // still lives would find the channel empty but connected and
+        // sleep through the hang-up.
+        drop(self.tx.take());
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
+    }
 }
 
 /// Crash-injection point for the supervision tests: the chosen shard
@@ -974,7 +1028,7 @@ impl ShardWorker {
         let group_commits = self.obs.counter("batch.group_commits");
         // Reusable batch scratch, reclaimed across iterations.
         let mut batch: Vec<Inbound> = Vec::with_capacity(MAX_DRAIN);
-        let mut held: Vec<(Sender<MaResponse>, MaResponse)> = Vec::with_capacity(MAX_DRAIN);
+        let mut held: Vec<(Reply, MaResponse)> = Vec::with_capacity(MAX_DRAIN);
 
         loop {
             let mut barrier: Option<Barrier> = None;
@@ -1531,19 +1585,14 @@ impl Dispatcher {
     }
 
     /// Asks the front door (if one attached a hook) to export the
-    /// admission gate, waiting a bounded window for its reactor to
-    /// answer. `None` — no front door, or a stopped reactor — just
-    /// omits the gate section from the snapshot.
+    /// admission gate, waiting up to 500 ms for its reactor to answer.
+    /// `None` — no front door, or a stopped reactor — just omits the
+    /// gate section from the snapshot.
     fn request_gate_blob(&self) -> Option<Vec<u8>> {
         let hook = self.durable.gate_hook.lock().clone()?;
-        hook.request();
-        for _ in 0..500 {
-            if let Some(blob) = hook.take_blob() {
-                return Some(blob);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        None
+        hook.request()?
+            .recv_timeout(std::time::Duration::from_millis(500))
+            .ok()
     }
 
     fn run(mut self, rx: Receiver<Inbound>, ctrl_rx: Receiver<Control>) {
@@ -2039,7 +2088,7 @@ impl Drop for MaService {
                 key: None,
                 span: SpanContext::NONE,
                 request: MaRequest::Shutdown,
-                reply: reply_tx,
+                reply: reply_tx.into(),
             });
             let _ = h.join();
         }

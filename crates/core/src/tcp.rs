@@ -4,15 +4,21 @@
 //!
 //! ## Server: a hand-rolled non-blocking reactor
 //!
-//! The offline crate allowlist has no tokio/mio, so readiness is a
-//! polling loop over `std::net` sockets in non-blocking mode: each
-//! tick accepts new connections (up to `max_connections`), reads
-//! every socket until `WouldBlock` feeding the per-connection
-//! stratum-2 [`FrameDecoder`], dispatches complete frames, polls the
+//! The offline crate allowlist has no tokio/mio, so the reactor is a
+//! loop over `std::net` sockets in non-blocking mode: each tick
+//! accepts new connections (up to `max_connections`), reads every
+//! socket until `WouldBlock` feeding the per-connection stratum-2
+//! [`FrameDecoder`], dispatches complete frames, collects the
 //! in-flight replies from the shard workers, and drains the
 //! per-connection [`WriteQueue`]s. When a full tick makes no
-//! progress, the reactor sleeps `idle_sleep` — busy enough for
-//! loopback latency, idle enough not to burn a core.
+//! progress, the reactor blocks in `poll(2)` (the readiness wait)
+//! until the listener or a connection is readable, a connection with
+//! queued bytes is writable, or its waker fires. Every request the
+//! reactor hands to a shard carries a [`Reply`] that wakes it when the
+//! response is sent *or* the reply is dropped unsent (a crashed
+//! shard); checkpoint requests and `shutdown` wake it too. An idle
+//! door therefore sleeps without a timeout, and a ready reply is
+//! collected at once instead of after a poll interval.
 //!
 //! Overload policy (all observable via the service registry):
 //!
@@ -44,7 +50,8 @@ use crate::gate::{
     GateResponse, OpsRequest,
 };
 use crate::metrics::Party;
-use crate::service::{Inbound, MaRequest, MaResponse, MaService, RequestKey, ShardRouter};
+use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
+use crate::service::{Inbound, MaRequest, MaResponse, MaService, Reply, RequestKey, ShardRouter};
 use crate::stream::{ByteStream, FlakyConfig, FlakyStream, TcpByteStream};
 use crate::transport::{next_request_id, next_trace_id, request_label, response_label};
 use crate::transport::{TrafficLog, Transport};
@@ -56,6 +63,7 @@ use ppms_obs::{FlightRecorder, Span, SpanContext};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,8 +90,6 @@ pub struct TcpConfig {
     pub max_inflight_per_conn: usize,
     /// Admission policy.
     pub admission: AdmissionConfig,
-    /// Reactor sleep when a tick makes no progress.
-    pub idle_sleep: Duration,
     /// Sustained [`GateRequest::Ops`] rate allowed per second (token
     /// bucket). Ops queries skip admission, so without a limit they
     /// would be a free flood vector.
@@ -110,7 +116,6 @@ impl Default for TcpConfig {
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             max_inflight_per_conn: 32,
             admission: AdmissionConfig::default(),
-            idle_sleep: Duration::from_micros(200),
             ops_rate_per_sec: 100,
             ops_burst: 20,
             slow_request_threshold: Duration::from_millis(250),
@@ -162,6 +167,7 @@ struct Pending {
 pub struct TcpFrontDoor {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
     handle: Option<JoinHandle<()>>,
     obs: ppms_obs::Registry,
     /// Crash-dump files written by the reactor on panic, in order.
@@ -211,8 +217,9 @@ impl TcpFrontDoor {
 
         // Checkpoints want the gate's state in the snapshot; the
         // reactor owns the gate outright, so hand the dispatcher a
-        // polling rendezvous instead of a lock.
-        let gate_hook = Arc::new(GateCheckpoint::new());
+        // waking rendezvous instead of a lock.
+        let waker = Arc::new(Waker::new()?);
+        let gate_hook = Arc::new(GateCheckpoint::new(waker.clone()));
         svc.attach_gate_checkpoint(gate_hook.clone());
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -224,6 +231,8 @@ impl TcpFrontDoor {
             router: svc.router(),
             gate,
             gate_hook,
+            waker: waker.clone(),
+            pollfds: Vec::new(),
             traffic: svc.traffic.clone(),
             conns: HashMap::new(),
             pending: Vec::new(),
@@ -247,6 +256,7 @@ impl TcpFrontDoor {
             ops_limited: svc.obs.counter("tcp.ops_limited"),
             slow_requests: svc.obs.counter("tcp.slow_requests"),
             reactor_panics: svc.obs.counter("tcp.reactor_panics"),
+            wakeups: svc.obs.counter("tcp.wakeups"),
             connections: svc.obs.gauge("tcp.connections"),
             request_ns: svc.obs.histogram("tcp.request_ns"),
             queue_fill: svc.obs.histogram("tcp.write_queue_fill"),
@@ -258,6 +268,7 @@ impl TcpFrontDoor {
         Ok(TcpFrontDoor {
             addr,
             stop,
+            waker,
             handle: Some(handle),
             obs: svc.obs.clone(),
             dumps,
@@ -288,6 +299,7 @@ impl TcpFrontDoor {
     /// explicit form for tests that want the join to finish first.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -309,9 +321,15 @@ struct Reactor {
     /// thread hop on the hot path.
     router: ShardRouter,
     gate: AdmissionGate,
-    /// Checkpoint rendezvous: polled once per tick; when the
+    /// Checkpoint rendezvous: served once per tick; when the
     /// dispatcher requests it, the reactor exports the gate state.
     gate_hook: Arc<GateCheckpoint>,
+    /// Interrupts the readiness wait: replies, checkpoint requests
+    /// and `shutdown` fire it.
+    waker: Arc<Waker>,
+    /// The readiness wait's fd set, rebuilt in place each wait so the
+    /// idle path does not allocate.
+    pollfds: Vec<PollFd>,
     traffic: TrafficLog,
     conns: HashMap<u64, Conn>,
     pending: Vec<Pending>,
@@ -343,6 +361,8 @@ struct Reactor {
     ops_limited: Arc<ppms_obs::Counter>,
     slow_requests: Arc<ppms_obs::Counter>,
     reactor_panics: Arc<ppms_obs::Counter>,
+    /// Returns from the readiness wait.
+    wakeups: Arc<ppms_obs::Counter>,
     connections: Arc<ppms_obs::Gauge>,
     request_ns: Arc<ppms_obs::Histogram>,
     queue_fill: Arc<ppms_obs::Histogram>,
@@ -361,26 +381,26 @@ impl Reactor {
         // reactor instead of spinning the dump path forever.
         let mut panics = 0u32;
         while !self.stop.load(Ordering::SeqCst) {
-            match std::panic::catch_unwind(AssertUnwindSafe(|| self.tick())) {
-                Ok(progress) => {
-                    if !progress {
-                        std::thread::sleep(self.config.idle_sleep);
-                    }
+            let turn = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if !self.tick() {
+                    self.wait();
                 }
-                Err(_) => {
-                    panics += 1;
-                    self.reactor_panics.inc();
-                    let snap = self.obs.snapshot().merge(&ppms_obs::global().snapshot());
-                    if let Ok(path) = self.recorder.dump("tcp-reactor-panic", &snap) {
-                        eprintln!("flight-recorder dump: {}", path.display());
-                        self.dumps.lock().push(path);
-                    }
-                    if panics >= 8 {
-                        break;
-                    }
+            }));
+            if turn.is_err() {
+                panics += 1;
+                self.reactor_panics.inc();
+                let snap = self.obs.snapshot().merge(&ppms_obs::global().snapshot());
+                if let Ok(path) = self.recorder.dump("tcp-reactor-panic", &snap) {
+                    eprintln!("flight-recorder dump: {}", path.display());
+                    self.dumps.lock().push(path);
+                }
+                if panics >= 8 {
+                    break;
                 }
             }
         }
+        // A checkpoint must not wait on a reactor that is gone.
+        self.gate_hook.close();
         // Tear every connection down on the way out.
         for conn in self.conns.values_mut() {
             conn.stream.shutdown();
@@ -389,11 +409,33 @@ impl Reactor {
         self.connections.set(0);
     }
 
+    /// Blocks until the listener or a connection is readable, a
+    /// connection with queued replies is writable, or the waker fires.
+    fn wait(&mut self) {
+        self.pollfds.clear();
+        self.pollfds
+            .push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+        self.pollfds.push(PollFd::new(self.waker.fd(), POLLIN));
+        for conn in self.conns.values() {
+            let events = if conn.outq.is_empty() {
+                POLLIN
+            } else {
+                POLLIN | POLLOUT
+            };
+            self.pollfds
+                .push(PollFd::new(conn.stream.0.as_raw_fd(), events));
+        }
+        poll::wait(&mut self.pollfds).expect("poll(2) over the reactor's own sockets");
+        self.wakeups.inc();
+    }
+
     /// One reactor iteration; `true` when any sub-tick made progress.
     fn tick(&mut self) -> bool {
-        if self.gate_hook.pending() {
-            self.gate_hook.fulfill(self.gate.export_state());
-        }
+        // Consume pending wakes *before* looking for work: a wake
+        // that fires after this point re-arms the next wait.
+        self.waker.drain();
+        let gate = &self.gate;
+        self.gate_hook.serve(|| gate.export_state());
         let mut progress = false;
         progress |= self.accept_tick();
         progress |= self.read_tick();
@@ -582,7 +624,7 @@ impl Reactor {
                     key: Some(key),
                     span: read_ctx,
                     request,
-                    reply: reply_tx,
+                    reply: Reply::waking(reply_tx, self.waker.clone()),
                 };
                 match self.submit(inbound) {
                     Ok(()) => self.pending.push(Pending {
@@ -650,7 +692,7 @@ impl Reactor {
                     key: Some(key),
                     span: read_ctx,
                     request,
-                    reply: reply_tx,
+                    reply: Reply::waking(reply_tx, self.waker.clone()),
                 };
                 match self.submit(inbound) {
                     Ok(()) => {

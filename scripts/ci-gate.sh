@@ -31,7 +31,7 @@ echo "==> wire protocol property tests (v4 frames, foreign versions refused, spl
 cargo test -p ppms-core --test wire_props -q
 cargo test -p ppms-core --features no-op --test wire_props -q
 
-echo "==> tcp front door (admission gate, eviction, shedding) + transport equivalence"
+echo "==> tcp front door (admission gate, eviction, shedding, idle readiness wait, crash wake) + transport equivalence"
 # Both feature configs: the reactor leans on obs counters for its
 # shed/evict decisions' observability, so the no-op build must drive
 # the same loopback sockets. transport_equivalence includes the

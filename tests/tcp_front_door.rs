@@ -11,8 +11,8 @@ use ppms_core::gate::{AdmissionConfig, OpsRequest};
 use ppms_core::service::{MaClient, MaRequest, MaResponse, MaService, ServiceConfig};
 use ppms_core::sim::{mint_admission_spends, mint_deposit_batches};
 use ppms_core::{
-    next_request_id, next_trace_id, Envelope, FramedConn, GateRequest, GateResponse, MarketError,
-    Party, TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
+    next_request_id, next_trace_id, CrashPoint, Envelope, FramedConn, GateRequest, GateResponse,
+    MarketError, Party, TcpByteStream, TcpClientConfig, TcpConfig, TcpFrontDoor, TcpTransport,
 };
 use ppms_ecash::DecParams;
 use rand::rngs::StdRng;
@@ -589,6 +589,98 @@ fn slow_requests_land_in_the_slow_log_with_their_span_tree() {
         snap.histogram("tcp.request_ns").is_some() || cfg!(feature = "no-op"),
         "request latencies recorded"
     );
+
+    drop(door);
+    svc.shutdown();
+}
+
+#[test]
+fn an_idle_door_sleeps_in_the_readiness_wait() {
+    // With nothing to do the reactor blocks in poll(2) until a socket
+    // or its waker is ready; it does not wake on a timer. A fixed
+    // 200 µs sleep loop would tick ~1500 times in this window.
+    let svc = spawn_service(0xD008, 1, 64);
+    let config = TcpConfig {
+        admission: open_door(true),
+        ..TcpConfig::default()
+    };
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
+    let client = MaClient::new(
+        Arc::new(TcpTransport::new(TcpClientConfig::new(door.addr()))),
+        Party::Sp,
+    );
+    // One admitted, served connection stays open through the window.
+    assert!(matches!(
+        client.call(MaRequest::RegisterSpAccount),
+        MaResponse::Account(_)
+    ));
+
+    let before = door.obs_snapshot().counter("tcp.wakeups");
+    std::thread::sleep(Duration::from_millis(300));
+    let after = door.obs_snapshot().counter("tcp.wakeups");
+    assert!(
+        after - before <= 5,
+        "an idle door woke {} times in 300 ms",
+        after - before
+    );
+
+    drop(client);
+    drop(door);
+    svc.shutdown();
+}
+
+#[test]
+fn a_crashed_shard_wakes_the_door_and_the_retry_succeeds() {
+    // Begin #1 on the only shard is the door's own revenue-account
+    // registration; the first client request is Begin #2 and kills
+    // the worker after journaling it. The dropped reply is what wakes
+    // the reactor: without that wake the client would sit out its
+    // reply timeout instead of seeing the shard hang up.
+    let mut rng = StdRng::seed_from_u64(0xD009);
+    let svc = MaService::spawn_with_config(
+        &mut rng,
+        DecParams::fixture(2, 6),
+        512,
+        40,
+        ServiceConfig {
+            shards: 1,
+            crash: Some(CrashPoint {
+                shard: 0,
+                at_request: 2,
+            }),
+            ..ServiceConfig::default()
+        },
+    );
+    let config = TcpConfig {
+        admission: open_door(true),
+        ..TcpConfig::default()
+    };
+    let door = TcpFrontDoor::spawn(&svc, "127.0.0.1:0", config).expect("front door");
+    let client = MaClient::new(
+        Arc::new(TcpTransport::new(TcpClientConfig {
+            reply_timeout: Duration::from_secs(10),
+            ..TcpClientConfig::new(door.addr())
+        })),
+        Party::Sp,
+    );
+
+    let id = next_request_id();
+    let err = match client.try_call_keyed(id, MaRequest::RegisterSpAccount) {
+        Ok(MaResponse::Err(e)) | Err(e) => e,
+        Ok(other) => panic!("the crash must surface as an error, got {other:?}"),
+    };
+    assert!(err.is_retryable(), "a shard crash is retryable: {err:?}");
+    assert!(
+        err.to_string().contains("shard hung up"),
+        "the reactor must report the hang-up, not a client timeout: {err:?}"
+    );
+
+    // The retry under the same key reaches the respawned worker.
+    match client.try_call_keyed(id, MaRequest::RegisterSpAccount) {
+        Ok(MaResponse::Account(_)) => {}
+        other => panic!("retry after respawn, got {other:?}"),
+    }
+    assert_eq!(svc.faults.shard_respawns(), 1);
 
     drop(door);
     svc.shutdown();
